@@ -241,15 +241,6 @@ class CompressedCsrSpace {
   internal::CompressedArena packed_;
 };
 
-namespace internal {
-
-/// A compressed arena is already a materialized adapter: the engines must
-/// not re-wrap it (same contract as CsrSpace).
-template <typename S>
-struct IsCsrSpace<CompressedCsrSpace<S>> : std::true_type {};
-
-}  // namespace internal
-
 }  // namespace nucleus
 
 #endif  // NUCLEUS_CLIQUE_COMPRESSED_CSR_SPACE_H_

@@ -26,22 +26,19 @@ Status ValidateCommonOptions(const Options& options) {
   return Status::Ok();
 }
 
-// Runs the selected engine over a concrete space. All materialization
-// decisions were already made by the session (the space may itself be a
-// CsrSpace arena), so the engine is told kOff and never self-materializes.
-// `initial` carries the session-cached d_s values (empty = let the engine
-// count them); every engine — peeling included — consumes its copy
-// destructively. A stopped run (Options::cancel_token / deadline_ms, which
-// the session re-derives with the deadline time already spent on index and
-// arena builds subtracted) returns the engine's kCancelled /
-// kDeadlineExceeded status with no partial payload.
+// Runs the selected engine over the concrete representation the ladder
+// picked, starting from its d_s (`initial`, consumed). A stopped run
+// (Options::cancel_token / deadline_ms, which the session re-derives with
+// the deadline time already spent on index and arena builds subtracted)
+// returns the engine's kCancelled / kDeadlineExceeded status with no
+// partial payload.
 template <typename Space>
 StatusOr<DecomposeResult> RunEngine(const Space& space,
                                     const DecomposeOptions& options,
                                     std::vector<Degree> initial) {
   DecomposeResult out;
   out.num_r_cliques = space.NumRCliques();
-  const bool has_initial = initial.size() == out.num_r_cliques;
+  assert(initial.size() == out.num_r_cliques);
   const RunControl ctl = options.MakeControl();
   Timer timer;
   switch (options.method) {
@@ -49,15 +46,8 @@ StatusOr<DecomposeResult> RunEngine(const Space& space,
       PeelOptions peel_opts;
       peel_opts.strategy = options.peel_strategy;
       peel_opts.threads = options.threads;
-      peel_opts.deadline_ms = options.deadline_ms;
-      peel_opts.cancel_token = options.cancel_token;
-      // The session already decided materialization (the space may be a
-      // CsrSpace arena); never self-materialize inside the engine.
-      peel_opts.materialize = Materialize::kOff;
       PeelResult peel =
-          has_initial
-              ? PeelDecomposition(space, peel_opts, std::move(initial))
-              : PeelDecomposition(space, peel_opts);
+          internal::PeelDispatch(space, peel_opts, std::move(initial), ctl);
       if (!peel.status.ok()) return peel.status;
       out.kappa = std::move(peel.kappa);
       out.peel_order = std::move(peel.order);
@@ -68,11 +58,8 @@ StatusOr<DecomposeResult> RunEngine(const Space& space,
     case Method::kSnd: {
       LocalOptions local;
       static_cast<Options&>(local) = options;
-      local.materialize = Materialize::kOff;
       LocalResult r =
-          has_initial
-              ? internal::SndSweeps(space, local, std::move(initial), ctl)
-              : SndGeneric(space, local);
+          internal::SndSweeps(space, local, std::move(initial), ctl);
       if (!r.status.ok()) return r.status;
       out.kappa = std::move(r.tau);
       out.iterations = r.iterations;
@@ -82,15 +69,12 @@ StatusOr<DecomposeResult> RunEngine(const Space& space,
     case Method::kAnd: {
       AndOptions opts;
       static_cast<Options&>(opts.local) = options;
-      opts.local.materialize = Materialize::kOff;
       opts.order = options.order;
       opts.given_order = options.given_order;
       opts.seed = options.seed;
       opts.use_notification = options.use_notification;
       LocalResult r =
-          has_initial
-              ? internal::AndSweeps(space, opts, std::move(initial), ctl)
-              : AndGeneric(space, opts);
+          internal::AndSweeps(space, opts, std::move(initial), ctl);
       if (!r.status.ok()) return r.status;
       out.kappa = std::move(r.tau);
       out.iterations = r.iterations;
@@ -300,8 +284,7 @@ StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
     ArenaCell<Space>* cell, int SessionStats::* arena_counter,
     MakeSpace&& make_space, double index_seconds, RunControl ctl) {
   const Space* base = nullptr;
-  const CsrSpace<Space>* arena = nullptr;
-  const CompressedCsrSpace<Space>* compressed = nullptr;
+  Rung rung = Rung::kFly;
   double arena_seconds = 0.0;
   std::vector<Degree> initial;
   {
@@ -323,127 +306,35 @@ StatusOr<DecomposeResult> NucleusSession::DecomposeWithSpace(
       if (!s.ok()) return s;
     }
 
-    // Materialization decision. The engines' per-space default is honored
-    // (CoreSpace stays on the fly under kAuto; peeling materializes only
-    // under the explicit kOn / kCompressed modes), the budget gates kAuto
-    // and kCompressed, and a failed attempt's budget is remembered PER
-    // REPRESENTATION so hopeless builds are not retried every call while
-    // a budget retry after a degrade still picks the compressed rung (the
-    // memos are cleared by every mutating commit — the graph may have
-    // shrunk). An arena that is already cached is used regardless of
-    // policy — a contiguous scan is never worse than re-enumeration — and
-    // a cached UNCOMPRESSED arena also serves kCompressed requests.
-    //
-    // The kAuto ladder: uncompressed CSR arena -> delta-compressed arena
-    // -> on the fly, degrading on budget overrun. A deadline-bound
-    // request grants the whole materialization HALF the remaining time;
-    // if that share expires while the request is otherwise alive, the
-    // build is abandoned and the run degrades straight to the fly space —
-    // a slower sweep beats a failed request when the arena was merely an
-    // optimization.
-    const bool policy_wants =
-        options.method == Method::kPeeling
-            ? (options.materialize == Materialize::kOn ||
-               options.materialize == Materialize::kCompressed)
-            : internal::WantMaterialize<Space>(options.materialize);
-    if (!cell->arena && !cell->compressed && policy_wants &&
-        options.materialize != Materialize::kOff) {
-      const std::uint64_t budget = internal::EffectiveBudget(
-          options.materialize, options.materialize_budget_bytes);
-      RunControl build_ctl = ctl;
-      const bool has_deadline =
-          ctl.CanStop() && !ctl.deadline().IsInfinite();
-      if (has_deadline) {
-        build_ctl = ctl.WithDeadline(Deadline::After(
-            std::max<std::int64_t>(1, ctl.deadline().RemainingMs() / 2)));
-      }
-      bool deadline_degraded = false;
-      const bool want_uncompressed =
-          options.materialize != Materialize::kCompressed;
-      if (want_uncompressed && budget > cell->failed_budget) {
-        NUCLEUS_FAULT_POINT("arena_build");
-        Timer t;
-        std::vector<Degree> degrees;
-        auto built = CsrSpace<Space>::TryBuild(
-            *base, std::max(options.threads, 1), budget, &degrees,
-            build_ctl);
-        if (built.has_value()) {
-          arena_seconds = t.Seconds();
-          cell->arena = std::move(built);
-          cell->failed_budget = 0;
-          BumpStat(arena_counter);
-        } else if (ctl.CanStop() && ctl.ShouldStop()) {
-          // Cancelled / overall deadline exceeded mid-build: the partial
-          // counting degrees are garbage, and neither the failed-budget
-          // memo nor the fly-degree cache may learn from them — the next
-          // call must retry from scratch.
-          return ctl.StopStatus();
-        } else if (build_ctl.CanStop() && build_ctl.ShouldStop()) {
-          // Only the build's deadline share expired: degrade to the fly
-          // space (no second build attempt — the share is spent). Same
-          // rule: nothing partial is memoized.
-          deadline_degraded = true;
-          BumpStat(&SessionStats::degraded_builds);
-        } else {
-          // Over budget (the degrees contract holds): keep the counting
-          // pass's d_s so the fly fallback (this call and every later
-          // one) never re-counts, and fall through to the compressed rung.
-          cell->failed_budget = budget;
-          cell->fly_degrees = std::move(degrees);
-        }
-      }
-      if (!cell->arena && !deadline_degraded &&
-          budget > cell->failed_budget_compressed) {
-        NUCLEUS_FAULT_POINT("compressed_arena_build");
-        Timer t;
-        std::vector<Degree> degrees;
-        auto built = CompressedCsrSpace<Space>::TryBuild(
-            *base, std::max(options.threads, 1), budget, &degrees,
-            build_ctl);
-        if (built.has_value()) {
-          arena_seconds += t.Seconds();
-          cell->compressed = std::move(built);
-          cell->failed_budget_compressed = 0;
-          BumpStat(arena_counter);
-          BumpStat(&SessionStats::compressed_builds);
-        } else if (ctl.CanStop() && ctl.ShouldStop()) {
-          return ctl.StopStatus();
-        } else if (build_ctl.CanStop() && build_ctl.ShouldStop()) {
-          BumpStat(&SessionStats::degraded_builds);
-        } else {
-          // Even the compressed form exceeds the budget: last rung is the
-          // fly space.
-          cell->failed_budget_compressed = budget;
-          if (cell->fly_degrees.empty()) {
-            cell->fly_degrees = std::move(degrees);
-          }
-        }
-      }
+    // The ladder (clique/representation.h) picks the representation; the
+    // cell caches what it builds and its failed-budget memos across calls.
+    const LadderPolicy policy{options.materialize,
+                              options.materialize_budget_bytes,
+                              options.method == Method::kPeeling
+                                  ? LadderConsumer::kPeel
+                                  : LadderConsumer::kLocal};
+    LadderBuild build;
+    const StatusOr<Rung> resolved =
+        ResolveRepresentation(*base, policy, std::max(options.threads, 1),
+                              ctl, &cell->ladder, &build);
+    if (build.built != Rung::kFly) BumpStat(arena_counter);
+    if (build.built == Rung::kCompressed) {
+      BumpStat(&SessionStats::compressed_builds);
     }
-    const bool mode_off = options.materialize == Materialize::kOff;
-    if (!mode_off && cell->arena) {
-      arena = &*cell->arena;
-    } else if (!mode_off && cell->compressed) {
-      compressed = &*cell->compressed;
-    } else {
-      if (cell->fly_degrees.empty()) {
-        cell->fly_degrees =
-            base->InitialDegrees(std::max(options.threads, 1));
-      }
-      initial = cell->fly_degrees;  // engine consumes its copy
-    }
+    if (build.degraded) BumpStat(&SessionStats::degraded_builds);
+    if (!resolved.ok()) return resolved.status();
+    rung = *resolved;
+    arena_seconds = build.seconds;
+    initial = RungDegrees(rung, cell->ladder);  // engine consumes its copy
   }
-  if (ctl.CanStop() && ctl.ShouldStop()) return ctl.StopStatus();
   // The engine run happens outside the cell mutex (but under the session's
   // shared lock) so concurrent calls — including same-kind repeats and
   // unrelated kinds — proceed; commits wait for the shared lock to drain.
   const DecomposeOptions run_options = WithRemainingControl(options, ctl);
   StatusOr<DecomposeResult> out =
-      arena != nullptr
-          ? RunEngine(*arena, run_options, {})
-          : compressed != nullptr
-                ? RunEngine(*compressed, run_options, {})
-                : RunEngine(*base, run_options, std::move(initial));
+      VisitRung(rung, *base, cell->ladder, [&](const auto& space) {
+        return RunEngine(space, run_options, std::move(initial));
+      });
   if (!out.ok()) return out.status();
   out->index_seconds = index_seconds;
   out->arena_seconds = arena_seconds;
@@ -801,19 +692,19 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   EdgeIndex* eidx = edge_index_.Mutable();
   TriangleIndex* tidx = triangle_index_.Mutable();
   EdgeTriangleCsr* etc = edge_triangle_csr_.Mutable();
-  const bool patch_core_arena = core_.arena.has_value();
-  const bool patch_truss_arena = truss_.arena.has_value();
-  const bool patch_n34_arena = nucleus34_.arena.has_value();
+  const bool patch_core_arena = core_.ladder.csr.has_value();
+  const bool patch_truss_arena = truss_.ladder.csr.has_value();
+  const bool patch_n34_arena = nucleus34_.ladder.csr.has_value();
   assert(!patch_truss_arena || eidx != nullptr);
   assert(!patch_n34_arena || tidx != nullptr);
   assert(etc == nullptr || (eidx != nullptr && tidx != nullptr));
   const bool need_tri_edges =
       eidx != nullptr && (etc != nullptr || patch_truss_arena ||
-                          !truss_.fly_degrees.empty());
+                          !truss_.ladder.fly_degrees.empty());
   const bool need_tri_delta = tidx != nullptr || need_tri_edges;
   const bool need_4c_delta =
       tidx != nullptr &&
-      (patch_n34_arena || !nucleus34_.fly_degrees.empty());
+      (patch_n34_arena || !nucleus34_.ladder.fly_degrees.empty());
   const bool need_tri_ids =
       tidx != nullptr && (etc != nullptr || need_4c_delta);
 
@@ -961,11 +852,11 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
   // sentinels), so they are dropped here and rebuilt lazily by the next
   // decompose of the kind; only uncompressed arenas are patched in place.
   const auto drop_compressed = [&](auto& cell) {
-    if (cell.compressed.has_value()) {
-      cell.compressed.reset();
+    if (cell.ladder.compressed.has_value()) {
+      cell.ladder.compressed.reset();
       BumpStat(&SessionStats::compressed_drops);
     }
-    cell.failed_budget_compressed = 0;
+    cell.ladder.failed_compressed = 0;
   };
   drop_compressed(core_);
   drop_compressed(truss_);
@@ -988,58 +879,59 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     for (const auto& [u, v] : delta.inserted) {
       born_s.push_back({u, v});
     }
-    core_.arena->ApplyPatch(dead_s, born_s, {}, graph_->NumVertices());
+    core_.ladder.csr->ApplyPatch(dead_s, born_s, {},
+                                 graph_->NumVertices());
     *core_.space = CoreSpace(*graph_);
   } else {
     core_.space.reset();
   }
-  core_.fly_degrees.clear();  // O(n) to recount: not worth patching
-  core_.failed_budget = 0;
+  core_.ladder.fly_degrees.clear();  // O(n) to recount: not worth patching
+  core_.ladder.failed_csr = 0;
 
   if (patch_truss_arena) {
-    truss_.arena->ApplyPatch(members_of(dead_tri_edges),
+    truss_.ladder.csr->ApplyPatch(members_of(dead_tri_edges),
                              members_of(born_tri_edges), removed_edge_ids,
                              eidx->NumEdges());
     *truss_.space = TrussSpace(*graph_, *eidx);
   } else {
     truss_.space.reset();
   }
-  if (!truss_.fly_degrees.empty() && eidx != nullptr) {
-    truss_.fly_degrees.resize(eidx->NumEdges(), 0);
+  if (!truss_.ladder.fly_degrees.empty() && eidx != nullptr) {
+    truss_.ladder.fly_degrees.resize(eidx->NumEdges(), 0);
     for (const auto& edges3 : dead_tri_edges) {
-      for (EdgeId e : edges3) --truss_.fly_degrees[e];
+      for (EdgeId e : edges3) --truss_.ladder.fly_degrees[e];
     }
     for (const auto& edges3 : born_tri_edges) {
-      for (EdgeId e : edges3) ++truss_.fly_degrees[e];
+      for (EdgeId e : edges3) ++truss_.ladder.fly_degrees[e];
     }
   } else {
-    truss_.fly_degrees.clear();
+    truss_.ladder.fly_degrees.clear();
   }
-  truss_.failed_budget = 0;
+  truss_.ladder.failed_csr = 0;
 
   if (patch_n34_arena) {
-    nucleus34_.arena->ApplyPatch(members_of(dead_4c_tris),
+    nucleus34_.ladder.csr->ApplyPatch(members_of(dead_4c_tris),
                                  members_of(born_4c_tris), dead_tri_ids,
                                  tidx->NumTriangles());
     *nucleus34_.space = Nucleus34Space(*graph_, *tidx);
   } else {
     nucleus34_.space.reset();
   }
-  if (!nucleus34_.fly_degrees.empty() && tidx != nullptr &&
+  if (!nucleus34_.ladder.fly_degrees.empty() && tidx != nullptr &&
       need_4c_delta) {
-    nucleus34_.fly_degrees.resize(tidx->NumTriangles(), 0);
+    nucleus34_.ladder.fly_degrees.resize(tidx->NumTriangles(), 0);
     for (const auto& tris4 : dead_4c_tris) {
-      for (TriangleId t : tris4) --nucleus34_.fly_degrees[t];
+      for (TriangleId t : tris4) --nucleus34_.ladder.fly_degrees[t];
     }
     for (const auto& tris4 : born_4c_tris) {
-      for (TriangleId t : tris4) ++nucleus34_.fly_degrees[t];
+      for (TriangleId t : tris4) ++nucleus34_.ladder.fly_degrees[t];
     }
     // Patched-in triangles start at their counted d_4 = 0 plus born K4s;
     // dead triangles decremented to exactly 0 (all their K4s died).
   } else {
-    nucleus34_.fly_degrees.clear();
+    nucleus34_.ladder.fly_degrees.clear();
   }
-  nucleus34_.failed_budget = 0;
+  nucleus34_.ladder.failed_csr = 0;
 
   // Stage 6: result caches. Every kind whose maintainer ran is re-seeded
   // with the exact post-delta kappa — (1,2) always (the core maintainer's
@@ -1255,27 +1147,17 @@ SessionStateStats NucleusSession::Stats() const {
         (s.edge_ids + 1) * sizeof(std::uint64_t) +
         3 * s.triangle_ids * sizeof(std::pair<TriangleId, VertexId>);
   }
-  {
-    std::lock_guard<std::mutex> alk(core_.mu);
-    if (core_.arena) s.arena_bytes[0] = core_.arena->MemoryBytes();
-    if (core_.compressed) {
-      s.arena_compressed_bytes[0] = core_.compressed->MemoryBytes();
+  const auto peek_arenas = [&s](const auto& cell, int k) {
+    std::lock_guard<std::mutex> alk(cell.mu);
+    const auto& ladder = cell.ladder;
+    if (ladder.csr) s.arena_bytes[k] = ladder.csr->MemoryBytes();
+    if (ladder.compressed) {
+      s.arena_compressed_bytes[k] = ladder.compressed->MemoryBytes();
     }
-  }
-  {
-    std::lock_guard<std::mutex> alk(truss_.mu);
-    if (truss_.arena) s.arena_bytes[1] = truss_.arena->MemoryBytes();
-    if (truss_.compressed) {
-      s.arena_compressed_bytes[1] = truss_.compressed->MemoryBytes();
-    }
-  }
-  {
-    std::lock_guard<std::mutex> alk(nucleus34_.mu);
-    if (nucleus34_.arena) s.arena_bytes[2] = nucleus34_.arena->MemoryBytes();
-    if (nucleus34_.compressed) {
-      s.arena_compressed_bytes[2] = nucleus34_.compressed->MemoryBytes();
-    }
-  }
+  };
+  peek_arenas(core_, 0);
+  peek_arenas(truss_, 1);
+  peek_arenas(nucleus34_, 2);
   for (int k = 0; k < 3; ++k) {
     std::lock_guard<std::mutex> clk(results_[k].mu);
     s.kappa_cached[k] = results_[k].kappa.has_value();

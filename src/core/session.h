@@ -75,10 +75,9 @@
 #include <utility>
 #include <vector>
 
-#include "src/clique/compressed_csr_space.h"
-#include "src/clique/csr_space.h"
 #include "src/clique/delta.h"
 #include "src/clique/edge_index.h"
+#include "src/clique/representation.h"
 #include "src/clique/spaces.h"
 #include "src/clique/triangles.h"
 #include "src/common/state_cell.h"
@@ -487,39 +486,21 @@ class NucleusSession {
  private:
   // Per-kind materialized-arena cell: its own mutex (so same-kind callers
   // serialize but different kinds proceed), the base (on-the-fly) space
-  // pinned behind unique_ptr so CsrSpace's internal pointer stays valid,
-  // the arena itself, and the largest budget a build attempt failed under
-  // (avoids re-attempting hopeless builds on every call; cleared on every
-  // mutating commit, since a shrunken graph may fit again).
+  // pinned behind unique_ptr so an arena's internal pointer stays valid,
+  // and the ladder state (clique/representation.h): the arena built, the
+  // failed-budget memos and the fly d_s. Commits patch the uncompressed
+  // arena and the d_s in place, drop the immutable compressed arena
+  // (SessionStats::compressed_drops) and clear the memos, since a shrunken
+  // graph may fit again.
   template <typename Space>
   struct ArenaCell {
     mutable std::mutex mu;  // Stats() peeks the arena from const context
     std::unique_ptr<Space> space;
-    std::optional<CsrSpace<Space>> arena;
-    // The delta-compressed alternative (at most one representation is
-    // held: the uncompressed arena wins when both could exist). Immutable:
-    // commits drop it (SessionStats::compressed_drops) and the next
-    // decompose rebuilds lazily, unlike `arena`, which is patched.
-    std::optional<CompressedCsrSpace<Space>> compressed;
-    // Largest budgets a build attempt failed under, per representation,
-    // so hopeless builds are not retried every call (cleared on every
-    // mutating commit — the graph may have shrunk). Separate memos keep a
-    // failed UNCOMPRESSED attempt from blocking the compressed rung: a
-    // budget retry after a degrade picks compressed, not on-the-fly.
-    std::uint64_t failed_budget = 0;
-    std::uint64_t failed_budget_compressed = 0;
-    // Cached initial S-degrees (d_s) for on-the-fly engine runs — the
-    // by-product of a failed budgeted arena build, or counted once on the
-    // first fly run — so the counting enumeration is never repeated.
-    std::vector<Degree> fly_degrees;
+    LadderState<Space> ladder;
 
     void Reset() {
-      arena.reset();  // holds a pointer into *space: drop first
-      compressed.reset();
+      ladder = {};  // an arena holds a pointer into *space: drop first
       space.reset();
-      failed_budget = 0;
-      failed_budget_compressed = 0;
-      fly_degrees.clear();
     }
   };
 

@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "src/clique/compressed_csr_space.h"
+#include "src/clique/representation.h"
 #include "src/common/h_index.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
@@ -179,43 +179,11 @@ template <typename Space>
 LocalResult AndGeneric(const Space& space, const AndOptions& options) {
   const LocalOptions& local = options.local;
   const RunControl ctl = local.MakeControl();
-  if constexpr (!internal::IsCsrSpace<Space>::value) {
-    if (internal::WantMaterialize<Space>(local.materialize)) {
-      const std::uint64_t budget = internal::EffectiveBudget(
-          local.materialize, local.materialize_budget_bytes);
-      std::vector<Degree> degrees;
-      if (local.materialize != Materialize::kCompressed) {
-        if (auto csr = CsrSpace<Space>::TryBuild(space, local.threads,
-                                                 budget, &degrees, ctl)) {
-          return internal::AndSweeps(*csr, options, csr->InitialDegrees(),
-                                     ctl);
-        }
-        if (ctl.CanStop() && ctl.ShouldStop()) {
-          LocalResult stopped;
-          stopped.status = ctl.StopStatus();
-          return stopped;
-        }
-      }
-      // Compressed rung: the explicit kCompressed mode, or kAuto degrading
-      // after the uncompressed arena exceeded the budget.
-      if (local.materialize != Materialize::kOn) {
-        if (auto packed = CompressedCsrSpace<Space>::TryBuild(
-                space, local.threads, budget, &degrees, ctl)) {
-          return internal::AndSweeps(*packed, options,
-                                     packed->InitialDegrees(), ctl);
-        }
-        if (ctl.CanStop() && ctl.ShouldStop()) {
-          LocalResult stopped;
-          stopped.status = ctl.StopStatus();
-          return stopped;
-        }
-      }
-      // Over budget: the counting attempt already produced tau_0.
-      return internal::AndSweeps(space, options, std::move(degrees), ctl);
-    }
-  }
-  return internal::AndSweeps(space, options,
-                             space.InitialDegrees(local.threads), ctl);
+  return VisitRepresentation(
+      space, LadderPolicy{local.materialize, local.materialize_budget_bytes},
+      local.threads, ctl, [&](const auto& s, std::vector<Degree> initial) {
+        return internal::AndSweeps(s, options, std::move(initial), ctl);
+      });
 }
 
 }  // namespace nucleus

@@ -1,16 +1,13 @@
-// The shared execution knobs of every decomposition entry point. Before
-// this header existed, LocalOptions (SND/AND) and DecomposeOptions (facade)
-// each carried their own copies of threads/max_iterations/materialize/...,
-// and the facade hand-copied them field by field — a drift hazard every
-// time a knob was added. Both structs now derive from the single Options
-// aggregate below, so the shared knobs exist exactly once and propagate
-// with one slice-assignment.
+// The shared execution knobs of every decomposition entry point.
+// LocalOptions (SND/AND) and DecomposeOptions (the session) both derive
+// from the single Options aggregate below, so the shared knobs exist
+// exactly once and propagate with one slice-assignment.
 #ifndef NUCLEUS_LOCAL_OPTIONS_H_
 #define NUCLEUS_LOCAL_OPTIONS_H_
 
 #include <cstdint>
 
-#include "src/clique/csr_space.h"
+#include "src/clique/representation.h"
 #include "src/common/cancel.h"
 #include "src/common/parallel.h"
 
@@ -18,8 +15,8 @@ namespace nucleus {
 
 struct ConvergenceTrace;
 
-/// Knobs common to the local engines (SND/AND), the facade, and the
-/// session API. Derived option structs add their algorithm-specific fields.
+/// Knobs common to the local engines (SND/AND) and the session API.
+/// Derived option structs add their algorithm-specific fields.
 struct Options {
   /// Worker threads for the per-r-clique loops (and, via the session, for
   /// index/arena construction).
@@ -30,15 +27,12 @@ struct Options {
   /// Loop scheduling; the paper argues for dynamic (Section 4.4).
   Schedule schedule = Schedule::kDynamic;
   /// Materialize s-clique co-member lists into a flat arena before
-  /// iterating, turning every sweep into a contiguous scan. kAuto walks a
-  /// degradation ladder against materialize_budget_bytes: the uncompressed
-  /// CSR arena (csr_space.h) when it fits, else the delta+varint
-  /// compressed arena (compressed_csr_space.h, typically several x
-  /// smaller at a small decode cost), else on the fly (except for
-  /// CoreSpace, whose on-the-fly scan is already contiguous and never
-  /// materializes under kAuto). kCompressed asks for the compressed rung
-  /// directly (still budget-gated, degrading to the fly space); kOff
-  /// reproduces the paper's pure on-the-fly Section 5 behavior.
+  /// iterating, turning every sweep into a contiguous scan. The policy of
+  /// the materialization ladder (representation.h): kAuto degrades from
+  /// the uncompressed CSR arena to the delta+varint compressed one to the
+  /// fly space against materialize_budget_bytes (CoreSpace and peeling
+  /// stay on the fly); kCompressed asks for the compressed rung directly;
+  /// kOff reproduces the paper's pure on-the-fly Section 5 behavior.
   Materialize materialize = Materialize::kAuto;
   /// Memory budget for kAuto/kCompressed; arenas estimated above this
   /// degrade down the ladder.

@@ -10,7 +10,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "src/clique/csr_space.h"
 #include "src/clique/spaces.h"
 #include "src/common/parallel.h"
 #include "src/common/status.h"

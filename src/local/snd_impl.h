@@ -8,7 +8,7 @@
 #include <atomic>
 #include <utility>
 
-#include "src/clique/compressed_csr_space.h"
+#include "src/clique/representation.h"
 #include "src/common/h_index.h"
 #include "src/local/snd.h"
 
@@ -97,43 +97,12 @@ LocalResult SndSweeps(const Space& space, const LocalOptions& options,
 template <typename Space>
 LocalResult SndGeneric(const Space& space, const LocalOptions& options) {
   const RunControl ctl = options.MakeControl();
-  if constexpr (!internal::IsCsrSpace<Space>::value) {
-    if (internal::WantMaterialize<Space>(options.materialize)) {
-      const std::uint64_t budget = internal::EffectiveBudget(
-          options.materialize, options.materialize_budget_bytes);
-      std::vector<Degree> degrees;
-      if (options.materialize != Materialize::kCompressed) {
-        if (auto csr = CsrSpace<Space>::TryBuild(space, options.threads,
-                                                 budget, &degrees, ctl)) {
-          return internal::SndSweeps(*csr, options, csr->InitialDegrees(),
-                                     ctl);
-        }
-        if (ctl.CanStop() && ctl.ShouldStop()) {
-          LocalResult stopped;
-          stopped.status = ctl.StopStatus();
-          return stopped;
-        }
-      }
-      // Compressed rung: the explicit kCompressed mode, or kAuto degrading
-      // after the uncompressed arena exceeded the budget.
-      if (options.materialize != Materialize::kOn) {
-        if (auto packed = CompressedCsrSpace<Space>::TryBuild(
-                space, options.threads, budget, &degrees, ctl)) {
-          return internal::SndSweeps(*packed, options,
-                                     packed->InitialDegrees(), ctl);
-        }
-        if (ctl.CanStop() && ctl.ShouldStop()) {
-          LocalResult stopped;
-          stopped.status = ctl.StopStatus();
-          return stopped;
-        }
-      }
-      // Over budget: the counting attempt already produced tau_0.
-      return internal::SndSweeps(space, options, std::move(degrees), ctl);
-    }
-  }
-  return internal::SndSweeps(space, options,
-                             space.InitialDegrees(options.threads), ctl);
+  return VisitRepresentation(
+      space,
+      LadderPolicy{options.materialize, options.materialize_budget_bytes},
+      options.threads, ctl, [&](const auto& s, std::vector<Degree> initial) {
+        return internal::SndSweeps(s, options, std::move(initial), ctl);
+      });
 }
 
 }  // namespace nucleus

@@ -44,8 +44,7 @@
 #include <utility>
 #include <vector>
 
-#include "src/clique/compressed_csr_space.h"
-#include "src/clique/csr_space.h"
+#include "src/clique/representation.h"
 #include "src/clique/spaces.h"
 #include "src/common/atomic_frontier.h"
 #include "src/common/bucket_queue.h"
@@ -64,17 +63,15 @@ enum class PeelStrategy {
   kParallel,    // level-synchronous frontier peel on the thread pool
 };
 
-/// Execution knobs of a peel run. `materialize` lets a standalone engine
-/// call self-materialize the space into a CSR arena first (same policy
-/// knobs as the local engines; the session makes this decision itself and
-/// passes kOff). Default reproduces the paper's sequential on-the-fly peel.
+/// Execution knobs of a peel run. Default reproduces the paper's sequential
+/// on-the-fly peel.
 struct PeelOptions {
   PeelStrategy strategy = PeelStrategy::kAuto;
   /// Worker threads for the parallel strategy (and a materializing build).
   /// <= 1 runs every round inline.
   int threads = 1;
-  /// Materialize the space before peeling (kAuto/kOn honor the budget the
-  /// same way LocalOptions does; peeling defaults to the fly).
+  /// Materialization ladder policy (representation.h); kAuto keeps a peel
+  /// on the fly, kOn / kCompressed build an arena first.
   Materialize materialize = Materialize::kOff;
   std::uint64_t materialize_budget_bytes = std::uint64_t{512} << 20;
   /// Wall-clock budget for the whole run (ms; 0 = unbounded) and optional
@@ -382,7 +379,8 @@ PeelResult PeelParallelImpl(const Space& space, std::vector<Degree> ds,
   return result;
 }
 
-/// Strategy dispatch over a concrete (possibly materialized) space.
+/// Strategy dispatch over a concrete (possibly materialized) space, starting
+/// from its d_s (`ds`, consumed; must equal space.InitialDegrees()).
 template <typename Space>
 PeelResult PeelDispatch(const Space& space, const PeelOptions& options,
                         std::vector<Degree> ds, RunControl ctl = {}) {
@@ -398,61 +396,19 @@ PeelResult PeelDispatch(const Space& space, const PeelOptions& options,
 }  // namespace internal
 
 /// Runs the exact peeling decomposition (Algorithm 1) over a clique space
-/// with the selected strategy. Self-materializes behind
-/// options.materialize when the space is not already a CSR arena (the
-/// session passes kOff and materializes on its own).
+/// with the selected strategy, on the representation the materialization
+/// ladder picks for options.materialize (representation.h).
 template <typename Space>
 PeelResult PeelDecomposition(const Space& space,
                              const PeelOptions& options) {
   const RunControl ctl = options.MakeControl();
-  if constexpr (!internal::IsCsrSpace<Space>::value) {
-    if (internal::WantMaterialize<Space>(options.materialize)) {
-      const std::uint64_t budget = internal::EffectiveBudget(
-          options.materialize, options.materialize_budget_bytes);
-      std::vector<Degree> degrees;
-      if (options.materialize != Materialize::kCompressed) {
-        if (auto csr = CsrSpace<Space>::TryBuild(space, options.threads,
-                                                 budget, &degrees, ctl)) {
-          return internal::PeelDispatch(*csr, options, csr->InitialDegrees(),
-                                        ctl);
-        }
-        if (ctl.CanStop() && ctl.ShouldStop()) {
-          PeelResult stopped;
-          stopped.status = ctl.StopStatus();
-          return stopped;
-        }
-      }
-      // Compressed rung: the explicit kCompressed mode, or kAuto degrading
-      // after the uncompressed arena exceeded the budget.
-      if (options.materialize != Materialize::kOn) {
-        if (auto packed = CompressedCsrSpace<Space>::TryBuild(
-                space, options.threads, budget, &degrees, ctl)) {
-          return internal::PeelDispatch(*packed, options,
-                                        packed->InitialDegrees(), ctl);
-        }
-        if (ctl.CanStop() && ctl.ShouldStop()) {
-          PeelResult stopped;
-          stopped.status = ctl.StopStatus();
-          return stopped;
-        }
-      }
-      // Over budget: the counting attempt already produced the degrees.
-      return internal::PeelDispatch(space, options, std::move(degrees), ctl);
-    }
-  }
-  return internal::PeelDispatch(space, options,
-                                space.InitialDegrees(options.threads), ctl);
-}
-
-/// Degrees-supplied form: runs over `space` as-is (no self-
-/// materialization) with `initial_degrees`, which must equal
-/// space.InitialDegrees() — callers that cache d_s (the session's
-/// fly-degree memo) use this to skip the counting enumeration.
-template <typename Space>
-PeelResult PeelDecomposition(const Space& space, const PeelOptions& options,
-                             std::vector<Degree> initial_degrees) {
-  return internal::PeelDispatch(space, options, std::move(initial_degrees),
-                                options.MakeControl());
+  return VisitRepresentation(
+      space,
+      LadderPolicy{options.materialize, options.materialize_budget_bytes,
+                   LadderConsumer::kPeel},
+      options.threads, ctl, [&](const auto& s, std::vector<Degree> ds) {
+        return internal::PeelDispatch(s, options, std::move(ds), ctl);
+      });
 }
 
 /// Back-compat form: the paper's sequential on-the-fly peel.

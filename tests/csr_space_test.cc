@@ -6,14 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/clique/kclique.h"
-#include "src/graph/builder.h"
+#include "src/clique/representation.h"
+#include "src/common/cancel.h"
 #include "src/core/generic_rs.h"
-#include "src/core/nucleus_decomposition.h"
+#include "src/core/session.h"
+#include "src/graph/builder.h"
+#include "src/graph/generators.h"
 // Impl headers: this suite instantiates the engines for the non-canonical
 // CsrSpace<GenericRsSpace> (the documented extension-point pattern).
 #include "src/local/and_impl.h"
@@ -155,12 +162,136 @@ TEST(CsrSpace, TryBuildRejectsOverBudgetAndReturnsDegrees) {
   EXPECT_GT(ok->MemoryBytes(), 0u);
 }
 
+// The budgets of the rung-selection table, priced per space from its own
+// arena sizes.
+enum class Budget { kUnlimited, kUnderCsr, kUnderCompressed, kOne };
+
+struct LadderRow {
+  Materialize mode;
+  Budget budget;
+  Rung local;  // rung for SND/AND (CoreSpace under kAuto: kFly instead)
+  Rung peel;
+};
+
+constexpr LadderRow kLadderRows[] = {
+    {Materialize::kAuto, Budget::kUnlimited, Rung::kCsr, Rung::kFly},
+    {Materialize::kAuto, Budget::kUnderCsr, Rung::kCompressed, Rung::kFly},
+    {Materialize::kAuto, Budget::kUnderCompressed, Rung::kFly, Rung::kFly},
+    {Materialize::kAuto, Budget::kOne, Rung::kFly, Rung::kFly},
+    {Materialize::kOn, Budget::kUnlimited, Rung::kCsr, Rung::kCsr},
+    {Materialize::kOn, Budget::kUnderCsr, Rung::kCsr, Rung::kCsr},
+    {Materialize::kOn, Budget::kUnderCompressed, Rung::kCsr, Rung::kCsr},
+    {Materialize::kOn, Budget::kOne, Rung::kCsr, Rung::kCsr},
+    {Materialize::kCompressed, Budget::kUnlimited, Rung::kCompressed,
+     Rung::kCompressed},
+    {Materialize::kCompressed, Budget::kUnderCsr, Rung::kCompressed,
+     Rung::kCompressed},
+    {Materialize::kCompressed, Budget::kUnderCompressed, Rung::kFly,
+     Rung::kFly},
+    {Materialize::kCompressed, Budget::kOne, Rung::kFly, Rung::kFly},
+    {Materialize::kOff, Budget::kUnlimited, Rung::kFly, Rung::kFly},
+    {Materialize::kOff, Budget::kUnderCsr, Rung::kFly, Rung::kFly},
+    {Materialize::kOff, Budget::kUnderCompressed, Rung::kFly, Rung::kFly},
+    {Materialize::kOff, Budget::kOne, Rung::kFly, Rung::kFly},
+};
+
+template <typename Space>
+Rung ResolvedRung(const Space& space, const LadderPolicy& policy) {
+  LadderState<Space> state;
+  LadderBuild build;
+  const StatusOr<Rung> rung =
+      ResolveRepresentation(space, policy, /*threads=*/2, {}, &state, &build);
+  EXPECT_TRUE(rung.ok()) << rung.status().ToString();
+  return rung.ok() ? *rung : Rung::kFly;
+}
+
+// One space through the whole table: the rung the ladder picks for each
+// engine, and tau/kappa (plus the SND sweep count and the peel order)
+// bitwise equal to the kOff run. Asynchronous AND at two threads has no
+// fixed sweep count, so only its tau is compared.
+template <typename Space>
+void ExpectLadderTable(const Space& space, const std::string& name) {
+  const std::uint64_t csr_bytes = CsrSpace<Space>(space).MemoryBytes();
+  const std::uint64_t compressed_bytes =
+      CompressedCsrSpace<Space>(space).MemoryBytes();
+  // The table assumes compression pays on the fixture.
+  ASSERT_LT(compressed_bytes, csr_bytes) << name;
+  const auto bytes = [&](Budget b) -> std::uint64_t {
+    switch (b) {
+      case Budget::kUnlimited:
+        return std::numeric_limits<std::uint64_t>::max();
+      case Budget::kUnderCsr:
+        return csr_bytes - 1;
+      case Budget::kUnderCompressed:
+        return compressed_bytes - 1;
+      case Budget::kOne:
+        break;
+    }
+    return 1;
+  };
+
+  LocalOptions off;
+  off.threads = 2;
+  off.materialize = Materialize::kOff;
+  AndOptions and_off;
+  and_off.local = off;
+  PeelOptions peel_off;
+  peel_off.threads = 2;
+  const LocalResult snd_ref = SndGeneric(space, off);
+  const LocalResult and_ref = AndGeneric(space, and_off);
+  const PeelResult peel_ref = PeelDecomposition(space, peel_off);
+
+  const bool core = std::is_same_v<Space, CoreSpace>;
+  for (const LadderRow& row : kLadderRows) {
+    const std::string where = name + " mode " +
+                              std::to_string(static_cast<int>(row.mode)) +
+                              " budget " +
+                              std::to_string(static_cast<int>(row.budget));
+    const LadderPolicy local_policy{row.mode, bytes(row.budget),
+                                    LadderConsumer::kLocal};
+    const LadderPolicy peel_policy{row.mode, bytes(row.budget),
+                                   LadderConsumer::kPeel};
+    const Rung want_local =
+        core && row.mode == Materialize::kAuto ? Rung::kFly : row.local;
+    EXPECT_EQ(ResolvedRung(space, local_policy), want_local) << where;
+    EXPECT_EQ(ResolvedRung(space, peel_policy), row.peel) << where;
+
+    LocalOptions local = off;
+    local.materialize = row.mode;
+    local.materialize_budget_bytes = bytes(row.budget);
+    const LocalResult snd = SndGeneric(space, local);
+    EXPECT_EQ(snd.tau, snd_ref.tau) << where;
+    EXPECT_EQ(snd.iterations, snd_ref.iterations) << where;
+    AndOptions and_opt;
+    and_opt.local = local;
+    const LocalResult and_run = AndGeneric(space, and_opt);
+    EXPECT_EQ(and_run.tau, and_ref.tau) << where;
+    PeelOptions peel = peel_off;
+    peel.materialize = row.mode;
+    peel.materialize_budget_bytes = bytes(row.budget);
+    const PeelResult peel_run = PeelDecomposition(space, peel);
+    EXPECT_EQ(peel_run.kappa, peel_ref.kappa) << where;
+    EXPECT_EQ(peel_run.order, peel_ref.order) << where;
+  }
+  EXPECT_EQ(snd_ref.tau, peel_ref.kappa) << name;
+  EXPECT_EQ(and_ref.tau, peel_ref.kappa) << name;
+}
+
 TEST(CsrSpace, AutoBudgetFallbackMatchesResults) {
-  // An impossible budget forces the on-the-fly path inside the engine; the
-  // results must not change.
-  const Graph g = testlib::RandomGraph(60, 240, 5);
+  // Mode x budget x space: the ladder's rung choice per engine, and results
+  // that never depend on it. Dense blocks make every arena compress.
+  const Graph g = GeneratePlantedPartition(3, 16, 0.6, 0.05, 21);
   const EdgeIndex edges(g);
-  const TrussSpace space(g, edges);
+  const TriangleIndex tris(g);
+  ExpectLadderTable(CoreSpace(g), "core");
+  ExpectLadderTable(TrussSpace(g, edges), "truss");
+  ExpectLadderTable(Nucleus34Space(g, tris), "nucleus34");
+
+  // An impossible budget forces the on-the-fly path inside the engine on a
+  // sparse random graph too; the results must not change.
+  const Graph sparse = testlib::RandomGraph(60, 240, 5);
+  const EdgeIndex sparse_edges(sparse);
+  const TrussSpace space(sparse, sparse_edges);
   LocalOptions tiny;
   tiny.materialize = Materialize::kAuto;
   tiny.materialize_budget_bytes = 1;
@@ -169,8 +300,57 @@ TEST(CsrSpace, AutoBudgetFallbackMatchesResults) {
   EXPECT_EQ(SndGeneric(space, tiny).tau, SndGeneric(space, off).tau);
 }
 
+// A pre-cancelled token and a 1 ms deadline stop every engine under every
+// materializing mode, with the stop status and no partial payload.
+TEST(CsrSpace, StoppedEnginesReturnStatusOnly) {
+  const Graph g = GeneratePlantedPartition(40, 50, 0.5, 0.002, 5);
+  const EdgeIndex edges(g);
+  const TriangleIndex tris(g);
+  const TrussSpace truss(g, edges);
+  const Nucleus34Space n34(g, tris);
+  CancelToken cancelled;
+  cancelled.RequestCancel();
+  for (const Materialize mode :
+       {Materialize::kOn, Materialize::kCompressed, Materialize::kAuto}) {
+    for (const bool use_deadline : {false, true}) {
+      const StatusCode want = use_deadline ? StatusCode::kDeadlineExceeded
+                                           : StatusCode::kCancelled;
+      const std::string where =
+          "mode " + std::to_string(static_cast<int>(mode)) +
+          (use_deadline ? " deadline" : " cancelled");
+      LocalOptions local;
+      local.materialize = mode;
+      local.deadline_ms = use_deadline ? 1 : 0;
+      local.cancel_token = use_deadline ? nullptr : &cancelled;
+      AndOptions and_opt;
+      and_opt.local = local;
+      PeelOptions peel;
+      peel.materialize = mode;
+      peel.deadline_ms = local.deadline_ms;
+      peel.cancel_token = local.cancel_token;
+      const auto expect_stopped = [&](const auto& space,
+                                      const std::string& kind) {
+        const LocalResult snd = SndGeneric(space, local);
+        EXPECT_EQ(snd.status.code(), want) << kind << " snd " << where;
+        EXPECT_TRUE(snd.tau.empty()) << kind << " snd " << where;
+        const LocalResult and_run = AndGeneric(space, and_opt);
+        EXPECT_EQ(and_run.status.code(), want) << kind << " and " << where;
+        EXPECT_TRUE(and_run.tau.empty()) << kind << " and " << where;
+        const PeelResult peel_run = PeelDecomposition(space, peel);
+        EXPECT_EQ(peel_run.status.code(), want) << kind << " peel " << where;
+        EXPECT_TRUE(peel_run.kappa.empty()) << kind << " peel " << where;
+      };
+      expect_stopped(truss, "truss");
+      expect_stopped(n34, "nucleus34");
+    }
+  }
+}
+
 TEST(CsrSpace, FacadeMaterializeKnob) {
+  // The materialize knob through the session: every kind x method agrees
+  // on vs off (the result cache is bypassed so each call runs an engine).
   const Graph g = testlib::RandomGraph(50, 200, 9);
+  NucleusSession session{Graph(g)};
   for (const auto kind :
        {DecompositionKind::kCore, DecompositionKind::kTruss,
         DecompositionKind::kNucleus34}) {
@@ -178,10 +358,13 @@ TEST(CsrSpace, FacadeMaterializeKnob) {
       DecomposeOptions on;
       on.method = method;
       on.materialize = Materialize::kOn;
+      on.use_result_cache = false;
       DecomposeOptions mat_off = on;
       mat_off.materialize = Materialize::kOff;
-      EXPECT_EQ(Decompose(g, kind, on).kappa,
-                Decompose(g, kind, mat_off).kappa);
+      const auto got_on = session.Decompose(kind, on);
+      const auto got_off = session.Decompose(kind, mat_off);
+      ASSERT_TRUE(got_on.ok() && got_off.ok());
+      EXPECT_EQ(got_on->kappa, got_off->kappa);
     }
   }
 }

@@ -10,11 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/clique/csr_space.h"
+#include "src/clique/representation.h"
 #include "src/clique/spaces.h"
 #include "src/core/session.h"
 #include "src/graph/builder.h"
@@ -138,6 +141,45 @@ TEST(PeelEngine, SelfMaterializationMatchesFly) {
   const PeelResult b = PeelDecomposition(space, mat);
   EXPECT_EQ(a.kappa, b.kappa);
   EXPECT_EQ(LevelSets(a), LevelSets(b));
+}
+
+// One peel rule: the shared ladder keeps a peel on the fly under kAuto
+// (where SND/AND would build the CSR arena) and builds only under the
+// explicit modes; the kappa never moves.
+TEST(PeelEngine, LadderResolvesPeelRungPerMode) {
+  const Graph g = GeneratePlantedPartition(3, 16, 0.6, 0.05, 21);
+  const EdgeIndex edges(g);
+  const TrussSpace space(g, edges);
+  const std::vector<Degree> fly_kappa = PeelDecomposition(space).kappa;
+  const std::pair<Materialize, Rung> cases[] = {
+      {Materialize::kAuto, Rung::kFly},
+      {Materialize::kOn, Rung::kCsr},
+      {Materialize::kCompressed, Rung::kCompressed},
+      {Materialize::kOff, Rung::kFly},
+  };
+  for (const auto& [mode, want] : cases) {
+    const auto resolve = [&](LadderConsumer consumer) {
+      LadderState<TrussSpace> state;
+      LadderBuild build;
+      const StatusOr<Rung> rung = ResolveRepresentation(
+          space, LadderPolicy{mode, std::uint64_t{1} << 30, consumer}, 1, {},
+          &state, &build);
+      EXPECT_TRUE(rung.ok());
+      EXPECT_EQ(build.built, rung.ok() ? *rung : Rung::kFly);
+      return rung.ok() ? *rung : Rung::kFly;
+    };
+    EXPECT_EQ(resolve(LadderConsumer::kPeel), want)
+        << "mode " << static_cast<int>(mode);
+    PeelOptions opt;
+    opt.materialize = mode;
+    EXPECT_EQ(PeelDecomposition(space, opt).kappa, fly_kappa);
+  }
+  LadderState<TrussSpace> state;
+  LadderBuild build;
+  EXPECT_EQ(*ResolveRepresentation(space, LadderPolicy{}, 1, {}, &state,
+                                   &build),
+            Rung::kCsr)
+      << "SND/AND under kAuto build the arena";
 }
 
 TEST(PeelEngine, EmptyAndEdgelessSpaces) {
