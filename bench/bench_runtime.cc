@@ -32,6 +32,7 @@
 #include "src/local/and.h"
 #include "src/local/snd.h"
 #include "src/peel/generic_peel.h"
+#include "src/peel/hierarchy.h"
 #include "src/server/http.h"
 #include "src/server/json.h"
 #include "src/server/load_harness.h"
@@ -564,6 +565,59 @@ int RunJson(const std::string& path) {
                 "planted-perf", "nucleus34", threads, churn_commits,
                 churn_inc_ms, churn_reb_ms, rec_cinc.speedup_vs_onthefly,
                 ok ? "ok" : "MISMATCH");
+  }
+
+  // hierarchy_arena record: the (3,4) hierarchy sweep over the arena the
+  // session's AND decomposition cached vs BuildHierarchy over the on-the-
+  // fly space, which re-derives every triangle's 4-cliques by three-way
+  // adjacency intersection. Both sweep the same cached kappa. wall_ms is
+  // the best of three uncached HierarchyFor sweeps (the cached Hierarchy
+  // call takes the same path once); the speedup field is fly/arena. The
+  // check asserts the cached forest, the HierarchyFor forest and the fly
+  // forest are bitwise-equal and that the hierarchy calls built no arena.
+  // CI's bench-smoke asserts check == ok and >= 2x.
+  {
+    NucleusSession session(g);
+    DecomposeOptions opt;
+    opt.method = Method::kAnd;
+    opt.threads = threads;
+    const auto kind = DecompositionKind::kNucleus34;
+    const auto r = session.Decompose(kind, opt);
+    bool ok = r.ok();
+    const SessionStats before = session.stats();
+    const auto cached = session.Hierarchy(kind, opt);
+    ok = ok && cached.ok();
+    const auto best_of_3 = [](auto&& run) {
+      double best = 0.0;
+      for (int rep = 0; rep < 3; ++rep) {
+        Timer t;
+        run();
+        const double ms = t.Seconds() * 1e3;
+        best = rep == 0 ? ms : std::min(best, ms);
+      }
+      return best;
+    };
+    StatusOr<NucleusHierarchy> over_arena = Status::Internal("not run");
+    const double arena_ms = best_of_3(
+        [&] { over_arena = session.HierarchyFor(kind, r->kappa); });
+    const Nucleus34Space fly(session.graph(), session.Triangles());
+    NucleusHierarchy over_fly;
+    const double fly_ms = best_of_3(
+        [&] { over_fly = BuildHierarchy(fly, r->kappa, fly.LiveRFlags()); });
+    const SessionStats after = session.stats();
+    ok = ok && over_arena.ok() && *over_arena == over_fly &&
+         **cached == over_fly && session.Stats().arena_bytes[2] > 0 &&
+         after.nucleus34_arena_builds == before.nucleus34_arena_builds &&
+         after.compressed_builds == before.compressed_builds;
+    BenchRecord rec{"planted-perf",    g.NumVertices(), g.NumEdges(),
+                    "nucleus34",       "hierarchy_arena", threads,
+                    true,              arena_ms,        0,
+                    fly_ms / std::max(arena_ms, 1e-6), ok};
+    records.push_back(rec);
+    std::printf("%-10s %-9s threads=%d  hierarchy over arena %8.2f ms  "
+                "fly %8.2f ms  speedup %.1fx  %s\n",
+                "planted-perf", "nucleus34", threads, arena_ms, fly_ms,
+                rec.speedup_vs_onthefly, ok ? "ok" : "MISMATCH");
   }
 
   // cancel_latency record: how quickly a COLD (3,4) build at 8 threads

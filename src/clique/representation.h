@@ -29,6 +29,13 @@
 // ResolveRepresentation with the LadderState it keeps per kind, so built
 // arenas, failed-budget memos and the fly d_s survive across calls (its
 // commits patch or drop them), and then runs the engine through VisitRung.
+//
+// The session's hierarchy build and repair read the ladder but never climb
+// it: they enumerate s-cliques from whatever rung is already held
+// (HeldRung: the CSR arena, else the compressed one, else the base space)
+// and never build an arena. The forest does not depend on the rung (see
+// peel/hierarchy_impl.h), so an arena a decomposition paid for also makes
+// its hierarchy a contiguous scan instead of re-derived intersections.
 #ifndef NUCLEUS_CLIQUE_REPRESENTATION_H_
 #define NUCLEUS_CLIQUE_REPRESENTATION_H_
 
@@ -126,10 +133,22 @@ Rung FirstRung(const LadderPolicy& policy) {
 
 }  // namespace internal
 
+/// The rung an arena already in `state` serves: it serves every mode but
+/// kOff, the uncompressed arena first. kFly when nothing is held (or the
+/// mode is kOff). Never builds: this is all the hierarchy build and repair
+/// consult.
+template <typename Space>
+Rung HeldRung(const LadderState<Space>& state, Materialize mode) {
+  if (mode == Materialize::kOff) return Rung::kFly;
+  if (state.csr) return Rung::kCsr;
+  if (state.compressed) return Rung::kCompressed;
+  return Rung::kFly;
+}
+
 /// Picks the rung a run over `base` uses, building into *state what it
-/// needs. An arena already in *state serves every mode but kOff; otherwise
-/// the policy's rungs are tried in order (a rung whose memo says it failed
-/// under at least this budget is skipped), and the fly rung gets its d_s.
+/// needs. The held rung (HeldRung) wins; otherwise the policy's rungs are
+/// tried in order (a rung whose memo says it failed under at least this
+/// budget is skipped), and the fly rung gets its d_s.
 /// Returns the stop status when ctl stopped, or the injected failure of
 /// the `arena_build` / `compressed_arena_build` fault points; *build
 /// reports what was built either way.
@@ -141,13 +160,9 @@ StatusOr<Rung> ResolveRepresentation(const Space& base,
                                      LadderBuild* build) {
   static_assert(!internal::IsMaterialized<Space>::value,
                 "a materialized space runs as given");
-  Rung rung = Rung::kFly;
+  Rung rung = HeldRung(*state, policy.mode);
   const Rung first = internal::FirstRung<Space>(policy);
-  if (policy.mode != Materialize::kOff && state->csr) {
-    rung = Rung::kCsr;
-  } else if (policy.mode != Materialize::kOff && state->compressed) {
-    rung = Rung::kCompressed;
-  } else if (first != Rung::kFly) {
+  if (rung == Rung::kFly && first != Rung::kFly) {
     const std::uint64_t budget = policy.mode == Materialize::kOn
                                      ? std::numeric_limits<std::uint64_t>::max()
                                      : policy.budget_bytes;

@@ -414,10 +414,12 @@ StatusOr<const NucleusHierarchy*> NucleusSession::Hierarchy(
   // A fresh peel run hands back its level partition; feed it straight
   // into the union-find sweep (no kappa re-bucketing). Cache hits and
   // local-method runs carry no levels and take the kappa path.
+  // Either way the sweep reads the rung the kind's arena cell holds.
   StatusOr<NucleusHierarchy> h =
       !r->peel_levels.empty() && r->kappa.size() == NumRCliquesShared(kind)
-          ? HierarchyFromPeelShared(kind, std::move(*r), ctl)
-          : HierarchyForShared(kind, r->kappa, ctl);
+          ? HierarchyFromPeelShared(kind, std::move(*r), options.materialize,
+                                    ctl)
+          : HierarchyForShared(kind, r->kappa, options.materialize, ctl);
   if (!h.ok()) return h.status();
 
   std::lock_guard<std::mutex> clk(cell.mu);
@@ -429,31 +431,55 @@ StatusOr<const NucleusHierarchy*> NucleusSession::Hierarchy(
   return static_cast<const NucleusHierarchy*>(cell.hierarchy.get());
 }
 
+template <typename Fn>
+NucleusHierarchy NucleusSession::OverHeldRung(DecompositionKind kind,
+                                              Materialize mode, Fn&& fn) {
+  // The rung is read under the cell mutex and fn runs outside it, as in
+  // DecomposeWithSpace: a held arena is never replaced under the shared
+  // session lock, only by a commit.
+  const auto over = [&](auto& cell, auto make_space) {
+    using Space = decltype(make_space());
+    const Space* base = nullptr;
+    Rung rung = Rung::kFly;
+    {
+      std::lock_guard<std::mutex> lk(cell.mu);
+      if (!cell.space) cell.space = std::make_unique<Space>(make_space());
+      base = cell.space.get();
+      rung = HeldRung(cell.ladder, mode);
+    }
+    return VisitRung(rung, *base, cell.ladder, fn);
+  };
+  switch (kind) {
+    case DecompositionKind::kCore:
+      return over(core_, [this] { return CoreSpace(*graph_); });
+    case DecompositionKind::kTruss: {
+      const EdgeIndex& edges = EdgesShared(nullptr);
+      return over(truss_, [&] { return TrussSpace(*graph_, edges); });
+    }
+    case DecompositionKind::kNucleus34: {
+      const TriangleIndex& tris = TrianglesShared(1, nullptr);
+      return over(nucleus34_, [&] { return Nucleus34Space(*graph_, tris); });
+    }
+  }
+  return {};
+}
+
 StatusOr<NucleusHierarchy> NucleusSession::HierarchyFromPeelShared(
-    DecompositionKind kind, DecomposeResult&& result, RunControl ctl) {
+    DecompositionKind kind, DecomposeResult&& result, Materialize mode,
+    RunControl ctl) {
   PeelResult peel;
   peel.order = std::move(result.peel_order);
   peel.levels = std::move(result.peel_levels);
-  NucleusHierarchy h;
-  switch (kind) {
-    case DecompositionKind::kCore:
-      h = BuildHierarchy(CoreSpace(*graph_), peel, ctl);
-      break;
-    case DecompositionKind::kTruss:
-      h = BuildHierarchy(TrussSpace(*graph_, EdgesShared(nullptr)), peel,
-                         ctl);
-      break;
-    case DecompositionKind::kNucleus34:
-      h = BuildHierarchy(Nucleus34Space(*graph_, TrianglesShared(1, nullptr)),
-                         peel, ctl);
-      break;
-  }
+  NucleusHierarchy h = OverHeldRung(kind, mode, [&](const auto& space) {
+    return BuildHierarchy(space, peel, ctl);
+  });
   if (h.aborted) return ctl.StopStatus();
   return h;
 }
 
 StatusOr<NucleusHierarchy> NucleusSession::HierarchyForShared(
-    DecompositionKind kind, std::span<const Degree> kappa, RunControl ctl) {
+    DecompositionKind kind, std::span<const Degree> kappa, Materialize mode,
+    RunControl ctl) {
   const std::size_t n = NumRCliquesShared(kind);
   if (kappa.size() != n) {
     return Status::InvalidArgument(
@@ -461,25 +487,12 @@ StatusOr<NucleusHierarchy> NucleusSession::HierarchyForShared(
         std::to_string(n) + " for this kind");
   }
   const std::vector<Degree> k(kappa.begin(), kappa.end());
-  NucleusHierarchy h;
-  switch (kind) {
-    case DecompositionKind::kCore:
-      h = BuildHierarchy(CoreSpace(*graph_), k, {}, ctl);
-      break;
-    case DecompositionKind::kTruss: {
-      // Mirrors BuildTrussHierarchy: a patched index keeps tombstoned ids
-      // in the id space; exclude them so removed edges do not surface as
-      // phantom singleton nuclei. Same for (3,4) below.
-      const TrussSpace space(*graph_, EdgesShared(nullptr));
-      h = BuildHierarchy(space, k, space.LiveRFlags(), ctl);
-      break;
-    }
-    case DecompositionKind::kNucleus34: {
-      const Nucleus34Space space(*graph_, TrianglesShared(1, nullptr));
-      h = BuildHierarchy(space, k, space.LiveRFlags(), ctl);
-      break;
-    }
-  }
+  // A patched index keeps tombstoned ids in the id space; the base space's
+  // liveness excludes them so removed edges and triangles do not surface
+  // as phantom singleton nuclei (the arenas delegate it to their base).
+  NucleusHierarchy h = OverHeldRung(kind, mode, [&](const auto& space) {
+    return BuildHierarchy(space, k, space.LiveRFlags(), ctl);
+  });
   if (h.aborted) return ctl.StopStatus();
   return h;
 }
@@ -487,7 +500,7 @@ StatusOr<NucleusHierarchy> NucleusSession::HierarchyForShared(
 StatusOr<NucleusHierarchy> NucleusSession::HierarchyFor(
     DecompositionKind kind, std::span<const Degree> kappa) {
   std::shared_lock<std::shared_mutex> lk(session_mu_);
-  return HierarchyForShared(kind, kappa, RunControl());
+  return HierarchyForShared(kind, kappa, Materialize::kAuto, RunControl());
 }
 
 StatusOr<QueryEstimate> NucleusSession::EstimateQueries(
@@ -1009,6 +1022,17 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
         std::make_unique<NucleusHierarchy>(std::move(repaired));
     BumpStat(&SessionStats::hierarchy_repairs);
   };
+  // Each repair sweeps the arena Stage 5 just patched when the kind holds
+  // one (compressed arenas were dropped there), else the fly space.
+  const auto repair = [&](DecompositionKind kind,
+                          const std::vector<Degree>& kappa, Degree level) {
+    const int k = static_cast<int>(kind);
+    install_repaired(
+        k, OverHeldRung(kind, Materialize::kAuto, [&](const auto& space) {
+          return RepairHierarchy(space, *old_hierarchy[k], kappa,
+                                 space.LiveRFlags(), level);
+        }));
+  };
   if (old_hierarchy[0]) {
     Degree level = touched_level(old_kappa[0], new_core_kappa);
     for (const auto& [u, v] : delta.inserted) {
@@ -1018,24 +1042,15 @@ Status NucleusSession::PropagateDelta(const EdgeDelta& delta,
     for (const auto& [u, v] : delta.removed) {
       level = std::max(level, std::min(old_kappa[0][u], old_kappa[0][v]));
     }
-    const CoreSpace space(*graph_);
-    install_repaired(0, RepairHierarchy(space, *old_hierarchy[0],
-                                        new_core_kappa, space.LiveRFlags(),
-                                        level));
+    repair(DecompositionKind::kCore, new_core_kappa, level);
   }
   if (old_hierarchy[1] && eidx != nullptr) {
-    const TrussSpace space(*graph_, *eidx);
-    install_repaired(
-        1, RepairHierarchy(space, *old_hierarchy[1], new_truss_kappa,
-                           space.LiveRFlags(),
-                           touched_level(old_kappa[1], new_truss_kappa)));
+    repair(DecompositionKind::kTruss, new_truss_kappa,
+           touched_level(old_kappa[1], new_truss_kappa));
   }
   if (old_hierarchy[2] && tidx != nullptr) {
-    const Nucleus34Space space(*graph_, *tidx);
-    install_repaired(
-        2, RepairHierarchy(space, *old_hierarchy[2], new_n34_kappa,
-                           space.LiveRFlags(),
-                           touched_level(old_kappa[2], new_n34_kappa)));
+    repair(DecompositionKind::kNucleus34, new_n34_kappa,
+           touched_level(old_kappa[2], new_n34_kappa));
   }
 
   // Stage 7: compaction. Patching keeps commits O(delta) but leaves

@@ -37,6 +37,11 @@
 // result is bitwise-equal to a full rebuild and counted in
 // SessionStats::hierarchy_repairs) whenever the space's maintainer ran
 // this commit — otherwise they drop and the next Hierarchy() rebuilds.
+// Both the repair and a fresh Hierarchy()/HierarchyFor() build sweep the
+// representation the kind's arena cell already holds (HeldRung,
+// clique/representation.h): the just-patched CSR arena, a cached arena,
+// else the on-the-fly space. They never build an arena; the forest is
+// the same on every rung.
 // Patched indices keep tombstoned ids addressable (kappa vectors are
 // indexed by the id space, dead ids pinned at 0; see
 // EdgeIndex::NumLiveEdges); once the tombstone fraction of an id space
@@ -308,12 +313,15 @@ class NucleusSession {
   /// The nucleus hierarchy of the kind, built once and cached. kappa comes
   /// from the cache when an exact decomposition already ran; otherwise an
   /// exact run with `options` (max_iterations forced to 0) happens first.
+  /// The sweep reads the arena the kind already holds unless
+  /// options.materialize is kOff; it never builds one.
   /// The pointer stays valid until Commit / InvalidateDerivedState.
   StatusOr<const NucleusHierarchy*> Hierarchy(
       DecompositionKind kind, const DecomposeOptions& options = {});
 
   /// Uncached hierarchy from caller-provided kappa values (must match the
-  /// kind's r-clique id count). Reuses the session's indices.
+  /// kind's r-clique id count). Reuses the session's indices and sweeps
+  /// the arena the kind already holds, if any.
   StatusOr<NucleusHierarchy> HierarchyFor(DecompositionKind kind,
                                           std::span<const Degree> kappa);
 
@@ -548,13 +556,22 @@ class NucleusSession {
   StatusOr<DecomposeResult> DecomposeShared(DecompositionKind kind,
                                             const DecomposeOptions& options,
                                             RunControl ctl);
+  // Runs fn on the representation the kind's arena cell already holds
+  // (HeldRung under `mode`: a cached arena, else the on-the-fly space,
+  // which it pins in the cell when absent) and returns its hierarchy.
+  // Never builds an arena.
+  template <typename Fn>
+  NucleusHierarchy OverHeldRung(DecompositionKind kind, Materialize mode,
+                                Fn&& fn);
   StatusOr<NucleusHierarchy> HierarchyForShared(DecompositionKind kind,
                                                 std::span<const Degree> kappa,
+                                                Materialize mode,
                                                 RunControl ctl);
   // Builds the hierarchy from a fresh peel run's level partition (moved
   // out of the result), skipping the kappa re-bucketing pass.
   StatusOr<NucleusHierarchy> HierarchyFromPeelShared(DecompositionKind kind,
                                                      DecomposeResult&& result,
+                                                     Materialize mode,
                                                      RunControl ctl);
 
   template <typename Space, typename MakeSpace>

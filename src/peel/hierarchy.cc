@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/clique/compressed_csr_space.h"
+#include "src/clique/csr_space.h"
 #include "src/peel/hierarchy_impl.h"
 
 namespace nucleus {
@@ -23,33 +25,29 @@ std::size_t NucleusHierarchy::Depth() const {
   return best;
 }
 
-template NucleusHierarchy BuildHierarchy<CoreSpace>(
-    const CoreSpace&, const std::vector<Degree>&,
-    std::span<const std::uint8_t>, RunControl);
-template NucleusHierarchy BuildHierarchy<TrussSpace>(
-    const TrussSpace&, const std::vector<Degree>&,
-    std::span<const std::uint8_t>, RunControl);
-template NucleusHierarchy BuildHierarchy<Nucleus34Space>(
-    const Nucleus34Space&, const std::vector<Degree>&,
-    std::span<const std::uint8_t>, RunControl);
-template NucleusHierarchy BuildHierarchy<CoreSpace>(const CoreSpace&,
-                                                    const PeelResult&,
-                                                    RunControl);
-template NucleusHierarchy BuildHierarchy<TrussSpace>(const TrussSpace&,
-                                                     const PeelResult&,
-                                                     RunControl);
-template NucleusHierarchy BuildHierarchy<Nucleus34Space>(
-    const Nucleus34Space&, const PeelResult&, RunControl);
-template NucleusHierarchy RepairHierarchy<CoreSpace>(
-    const CoreSpace&, const NucleusHierarchy&, const std::vector<Degree>&,
-    std::span<const std::uint8_t>, Degree, RunControl);
-template NucleusHierarchy RepairHierarchy<TrussSpace>(
-    const TrussSpace&, const NucleusHierarchy&, const std::vector<Degree>&,
-    std::span<const std::uint8_t>, Degree, RunControl);
-template NucleusHierarchy RepairHierarchy<Nucleus34Space>(
-    const Nucleus34Space&, const NucleusHierarchy&,
-    const std::vector<Degree>&, std::span<const std::uint8_t>, Degree,
-    RunControl);
+// Every overload for the three on-the-fly spaces and for both arena rungs
+// over each: the session builds and repairs hierarchies over whichever
+// representation its ladder already holds (clique/representation.h).
+#define NUCLEUS_INSTANTIATE_HIERARCHY(Space)                               \
+  template NucleusHierarchy BuildHierarchy<Space>(                        \
+      const Space&, const std::vector<Degree>&,                           \
+      std::span<const std::uint8_t>, RunControl);                         \
+  template NucleusHierarchy BuildHierarchy<Space>(                        \
+      const Space&, const PeelResult&, RunControl);                       \
+  template NucleusHierarchy RepairHierarchy<Space>(                       \
+      const Space&, const NucleusHierarchy&, const std::vector<Degree>&,  \
+      std::span<const std::uint8_t>, Degree, RunControl);
+#define NUCLEUS_INSTANTIATE_HIERARCHY_RUNGS(Space) \
+  NUCLEUS_INSTANTIATE_HIERARCHY(Space)             \
+  NUCLEUS_INSTANTIATE_HIERARCHY(CsrSpace<Space>)   \
+  NUCLEUS_INSTANTIATE_HIERARCHY(CompressedCsrSpace<Space>)
+
+NUCLEUS_INSTANTIATE_HIERARCHY_RUNGS(CoreSpace)
+NUCLEUS_INSTANTIATE_HIERARCHY_RUNGS(TrussSpace)
+NUCLEUS_INSTANTIATE_HIERARCHY_RUNGS(Nucleus34Space)
+
+#undef NUCLEUS_INSTANTIATE_HIERARCHY_RUNGS
+#undef NUCLEUS_INSTANTIATE_HIERARCHY
 
 NucleusHierarchy BuildCoreHierarchy(const Graph& g,
                                     const std::vector<Degree>& kappa) {

@@ -34,6 +34,8 @@ struct NucleusHierarchy {
     std::vector<CliqueId> new_members;
     /// Total r-cliques in the nucleus (this node + descendants).
     std::size_t size = 0;
+
+    bool operator==(const Node&) const = default;
   };
 
   std::vector<Node> nodes;
@@ -49,6 +51,10 @@ struct NucleusHierarchy {
 
   /// Depth of the forest (number of nodes on the longest root-leaf path).
   std::size_t Depth() const;
+
+  /// Bitwise equality of every field: canonical forests of the same
+  /// (space, kappa, liveness) compare equal however they were built.
+  bool operator==(const NucleusHierarchy&) const = default;
 };
 
 /// Builds the hierarchy for any clique space from precomputed kappa values

@@ -16,7 +16,12 @@
 // never leak into the node array — so hierarchies of the same (space,
 // kappa, liveness) are bitwise-identical however they were built. That is
 // what lets RepairHierarchy splice a kept node prefix onto a resumed
-// sweep and still match a full rebuild exactly.
+// sweep and still match a full rebuild exactly. The same holds across
+// representations: the order in which ForEachSClique reports a member's
+// s-cliques (on the fly, from a CSR arena, patched or not, or decoded
+// from a compressed one) only changes which DSU unions happen first,
+// never the components, so every rung of the materialization ladder
+// yields the same forest and the session sweeps whichever one it holds.
 #ifndef NUCLEUS_PEEL_HIERARCHY_IMPL_H_
 #define NUCLEUS_PEEL_HIERARCHY_IMPL_H_
 

@@ -393,12 +393,15 @@ void HttpServer::Stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown wakes the accept loop; the fd is closed (and its number freed
+  // for reuse) only once that thread has left ::accept, so the loop never
+  // reads a listen_fd_ being written or blocks on a recycled descriptor.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   {
     // Unblock connection threads parked in recv; they observe stopping_
     // and exit. Fds are removed from conn_fds_ before being closed by

@@ -25,6 +25,7 @@
 #include "src/local/snd_impl.h"
 #include "src/peel/generic_peel.h"
 #include "testlib/fixtures.h"
+#include "testlib/hierarchy_check.h"
 
 namespace nucleus {
 namespace {
@@ -354,27 +355,102 @@ TEST(CompressedCsrSpace, SessionRepresentationsAgreeOnPatchedGraph) {
   }
 }
 
+int ArenaBuilds(const SessionStats& stats, DecompositionKind kind) {
+  switch (kind) {
+    case DecompositionKind::kCore:
+      return stats.core_arena_builds;
+    case DecompositionKind::kTruss:
+      return stats.truss_arena_builds;
+    case DecompositionKind::kNucleus34:
+      return stats.nucleus34_arena_builds;
+  }
+  return -1;
+}
+
+// The rung the kind's cell holds: 0 CSR, 1 compressed, 2 none.
+int HeldArena(const NucleusSession& session, DecompositionKind kind) {
+  const SessionStateStats s = session.Stats();
+  const int k = static_cast<int>(kind);
+  if (s.arena_bytes[k] > 0) return 0;
+  if (s.arena_compressed_bytes[k] > 0) return 1;
+  return 2;
+}
+
+constexpr DecompositionKind kAllKinds[] = {DecompositionKind::kCore,
+                                           DecompositionKind::kTruss,
+                                           DecompositionKind::kNucleus34};
+
 TEST(CompressedCsrSpace, SessionHierarchyIdenticalAcrossRepresentations) {
-  // The hierarchy consumes kappa + the space; its shape must not depend on
-  // the arena representation.
-  auto build = [](Materialize mode) {
-    Graph g = GeneratePlantedPartition(3, 14, 0.6, 0.03, 29);
-    NucleusSession session(std::move(g));
-    DecomposeOptions opt;
-    opt.method = Method::kAnd;
-    opt.materialize = mode;
-    auto h = session.Hierarchy(DecompositionKind::kTruss, opt);
-    EXPECT_TRUE(h.ok());
-    std::vector<std::tuple<Degree, std::size_t, std::size_t, int>> shape;
-    for (const auto& node : (*h)->nodes) {
-      shape.emplace_back(node.k, node.new_members.size(), node.size,
-                         node.parent);
+  // Hierarchy sweeps whichever rung the kind's cell holds, and never
+  // builds one; the forest must not depend on it. Every kind x mode is
+  // compared node for node with a sweep of a fresh on-the-fly space.
+  const Graph g = GeneratePlantedPartition(3, 14, 0.6, 0.03, 29);
+  for (const DecompositionKind kind : kAllKinds) {
+    for (const Materialize mode :
+         {Materialize::kOn, Materialize::kCompressed, Materialize::kOff,
+          Materialize::kAuto}) {
+      SCOPED_TRACE(testing::Message()
+                   << "kind " << static_cast<int>(kind) << " mode "
+                   << static_cast<int>(mode));
+      NucleusSession session(g);
+      DecomposeOptions opt;
+      opt.method = Method::kAnd;
+      opt.materialize = mode;
+      const auto r = session.Decompose(kind, opt);
+      ASSERT_TRUE(r.ok());
+      const SessionStats before = session.stats();
+      const auto h = session.Hierarchy(kind, opt);
+      ASSERT_TRUE(h.ok());
+      const SessionStats after = session.stats();
+      EXPECT_EQ(ArenaBuilds(after, kind), ArenaBuilds(before, kind));
+      EXPECT_EQ(after.compressed_builds, before.compressed_builds);
+      EXPECT_EQ(after.hierarchy_builds, 1);
+      const bool core_auto = kind == DecompositionKind::kCore &&
+                             mode == Materialize::kAuto;
+      const int held = mode == Materialize::kOff || core_auto ? 2
+                       : mode == Materialize::kCompressed     ? 1
+                                                              : 0;
+      EXPECT_EQ(HeldArena(session, kind), held);
+      testlib::ExpectHierarchiesEqual(
+          **h, testlib::FlyHierarchy(session, kind, r->kappa), "hierarchy");
     }
-    return shape;
-  };
-  const auto fly = build(Materialize::kOff);
-  EXPECT_EQ(build(Materialize::kOn), fly);
-  EXPECT_EQ(build(Materialize::kCompressed), fly);
+  }
+}
+
+TEST(CompressedCsrSpace, SessionPeelLevelsHierarchyOverCachedArena) {
+  // The peel-levels path: AND caches an arena first, then a Hierarchy call
+  // peels afresh (result cache off) and feeds its level partition to the
+  // sweep over that arena.
+  const Graph g = GeneratePlantedPartition(3, 14, 0.6, 0.03, 31);
+  for (const DecompositionKind kind : kAllKinds) {
+    for (const Materialize mode :
+         {Materialize::kOn, Materialize::kCompressed}) {
+      SCOPED_TRACE(testing::Message()
+                   << "kind " << static_cast<int>(kind) << " mode "
+                   << static_cast<int>(mode));
+      NucleusSession session(g);
+      DecomposeOptions and_opt;
+      and_opt.method = Method::kAnd;
+      and_opt.materialize = mode;
+      const auto r = session.Decompose(kind, and_opt);
+      ASSERT_TRUE(r.ok());
+      ASSERT_EQ(HeldArena(session, kind),
+                mode == Materialize::kOn ? 0 : 1);
+      const SessionStats before = session.stats();
+      DecomposeOptions peel_opt;
+      peel_opt.method = Method::kPeeling;
+      peel_opt.use_result_cache = false;
+      const auto h = session.Hierarchy(kind, peel_opt);
+      ASSERT_TRUE(h.ok());
+      const SessionStats after = session.stats();
+      EXPECT_EQ(after.decompose_cache_hits, before.decompose_cache_hits);
+      EXPECT_EQ(ArenaBuilds(after, kind), ArenaBuilds(before, kind));
+      EXPECT_EQ(after.compressed_builds, before.compressed_builds);
+      testlib::ExpectHierarchiesEqual(
+          **h, testlib::FlyHierarchy(session, kind, r->kappa),
+          "peel-levels hierarchy");
+    }
+  }
 }
 
 }  // namespace

@@ -5,9 +5,13 @@
 #include <algorithm>
 #include <set>
 
+#include "src/clique/compressed_csr_space.h"
+#include "src/clique/csr_space.h"
+#include "src/clique/triangles.h"
 #include "src/graph/builder.h"
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
+#include "tests/testlib/hierarchy_check.h"
 
 namespace nucleus {
 namespace {
@@ -196,6 +200,38 @@ TEST(Hierarchy, SingleVertex) {
   ASSERT_EQ(h.nodes.size(), 1u);
   EXPECT_EQ(h.nodes[0].k, 0u);
   EXPECT_EQ(h.Depth(), 1u);
+}
+
+// The sweep's output depends only on each level's ascending member order,
+// not on how s-cliques are enumerated: both arena rungs and both
+// BuildHierarchy overloads reproduce the on-the-fly forest bit for bit.
+template <typename Space>
+void ExpectSameForestOnEveryRung(const Space& space) {
+  const PeelResult peel = PeelDecomposition(space);
+  const std::vector<std::uint8_t> live = space.LiveRFlags();
+  const NucleusHierarchy fly = BuildHierarchy(space, peel.kappa, live);
+  const CsrSpace<Space> csr(space, 2);
+  const CompressedCsrSpace<Space> packed(space, 2);
+  testlib::ExpectHierarchiesEqual(BuildHierarchy(csr, peel.kappa, live), fly,
+                                  "csr kappa");
+  testlib::ExpectHierarchiesEqual(BuildHierarchy(csr, peel), fly,
+                                  "csr peel levels");
+  testlib::ExpectHierarchiesEqual(BuildHierarchy(packed, peel.kappa, live),
+                                  fly, "compressed kappa");
+  testlib::ExpectHierarchiesEqual(BuildHierarchy(packed, peel), fly,
+                                  "compressed peel levels");
+}
+
+TEST(TrussHierarchy, ArenaRungsMatchOnTheFly) {
+  const Graph g = GeneratePlantedPartition(3, 16, 0.55, 0.04, 5);
+  const EdgeIndex edges(g);
+  ExpectSameForestOnEveryRung(TrussSpace(g, edges));
+}
+
+TEST(Nucleus34Hierarchy, ArenaRungsMatchOnTheFly) {
+  const Graph g = GeneratePlantedPartition(3, 16, 0.6, 0.04, 6);
+  const TriangleIndex tris(g, 2);
+  ExpectSameForestOnEveryRung(Nucleus34Space(g, tris));
 }
 
 }  // namespace

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <array>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -29,6 +30,7 @@
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
 #include "src/peel/hierarchy.h"
+#include "tests/testlib/hierarchy_check.h"
 
 namespace nucleus {
 namespace {
@@ -39,22 +41,6 @@ constexpr int kOpsPerRound = 4;
 // ever simultaneously tombstoned — below kMinDeadForCompaction, which
 // keeps the whole run compaction-free by construction.
 constexpr int kPoolSize = 24;
-
-void ExpectHierarchiesEqual(const NucleusHierarchy& got,
-                            const NucleusHierarchy& want, const char* what) {
-  ASSERT_EQ(got.nodes.size(), want.nodes.size()) << what;
-  for (std::size_t i = 0; i < want.nodes.size(); ++i) {
-    const auto& gn = got.nodes[i];
-    const auto& wn = want.nodes[i];
-    ASSERT_EQ(gn.k, wn.k) << what << " node " << i;
-    ASSERT_EQ(gn.parent, wn.parent) << what << " node " << i;
-    ASSERT_EQ(gn.children, wn.children) << what << " node " << i;
-    ASSERT_EQ(gn.new_members, wn.new_members) << what << " node " << i;
-    ASSERT_EQ(gn.size, wn.size) << what << " node " << i;
-  }
-  EXPECT_EQ(got.roots, want.roots) << what;
-  EXPECT_EQ(got.node_of_clique, want.node_of_clique) << what;
-}
 
 void ChurnAndCertify(int threads, std::uint64_t seed) {
   const Graph initial = GeneratePlantedPartition(3, 14, 0.55, 0.05, 13);
@@ -162,15 +148,20 @@ void ChurnAndCertify(int threads, std::uint64_t seed) {
 
       // The repaired cached hierarchy is bitwise-equal to a full rebuild
       // over the same patched id space (HierarchyFor runs BuildHierarchy
-      // from scratch and bypasses the cache).
+      // from scratch and bypasses the cache). Both sweep the session's
+      // patched arena, so the repair is also checked against a sweep of a
+      // fresh on-the-fly space, which no arena patch can reach.
+      const char* what = kind == DecompositionKind::kCore    ? "core"
+                         : kind == DecompositionKind::kTruss ? "truss"
+                                                             : "n34";
       const auto repaired = session.Hierarchy(kind, warm);
       ASSERT_TRUE(repaired.ok());
       auto rebuilt = session.HierarchyFor(kind, res->kappa);
       ASSERT_TRUE(rebuilt.ok());
-      ExpectHierarchiesEqual(**repaired, *rebuilt,
-                             kind == DecompositionKind::kCore    ? "core"
-                             : kind == DecompositionKind::kTruss ? "truss"
-                                                                 : "n34");
+      testlib::ExpectHierarchiesEqual(**repaired, *rebuilt, what);
+      testlib::ExpectHierarchiesEqual(
+          **repaired, testlib::FlyHierarchy(session, kind, res->kappa),
+          std::string(what) + " vs fly");
     }
   }
 

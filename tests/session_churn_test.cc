@@ -5,12 +5,14 @@
 // rebuild on the mutated graph. Ids are stable across patches while a
 // fresh build re-densifies them, so vectors are compared through the
 // endpoint-pair / vertex-triple mapping and the compared kappa/degree
-// values themselves must match bitwise.
+// values themselves must match bitwise. The cached hierarchies, repaired
+// over the patched arenas, must equal a sweep of a fresh on-the-fly space.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "src/core/session.h"
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
+#include "tests/testlib/hierarchy_check.h"
 
 namespace nucleus {
 namespace {
@@ -38,6 +41,12 @@ void ChurnAndCheck(int threads, std::uint64_t seed) {
   ASSERT_TRUE(session.Decompose(DecompositionKind::kTruss, warm).ok());
   ASSERT_TRUE(session.Decompose(DecompositionKind::kNucleus34, warm).ok());
   session.EdgeTriangles(threads);  // CSR gets patched too
+  const DecompositionKind kinds[] = {DecompositionKind::kCore,
+                                     DecompositionKind::kTruss,
+                                     DecompositionKind::kNucleus34};
+  for (auto kind : kinds) {
+    ASSERT_TRUE(session.Hierarchy(kind, warm).ok());  // repaired per commit
+  }
   const SessionStats warm_stats = session.stats();
 
   Rng rng(seed);
@@ -161,6 +170,18 @@ void ChurnAndCheck(int threads, std::uint64_t seed) {
         ASSERT_EQ(truss_engine->kappa[e], 0u);
       }
     }
+
+    // --- Hierarchies repaired over the patched arenas vs. a fly sweep. --
+    for (auto kind : kinds) {
+      const auto cached = session.Decompose(kind, warm);
+      ASSERT_TRUE(cached.ok());
+      const auto repaired = session.Hierarchy(kind, warm);
+      ASSERT_TRUE(repaired.ok());
+      testlib::ExpectHierarchiesEqual(
+          **repaired, testlib::FlyHierarchy(session, kind, cached->kappa),
+          "round " + std::to_string(round) + " kind " +
+              std::to_string(static_cast<int>(kind)));
+    }
   }
 
   // The whole churn ran without a single index/arena/CSR rebuild (no
@@ -177,6 +198,8 @@ void ChurnAndCheck(int threads, std::uint64_t seed) {
   EXPECT_EQ(stats.compactions, 0);
   EXPECT_EQ(stats.incremental_commits, 5);
   EXPECT_EQ(stats.truss_kappa_seeds, 5);
+  EXPECT_EQ(stats.hierarchy_builds, warm_stats.hierarchy_builds);
+  EXPECT_EQ(stats.hierarchy_repairs, 3 * 5);
 }
 
 TEST(SessionChurn, IncrementalMatchesScratchSingleThread) {

@@ -9,6 +9,7 @@
 #include "src/core/nucleus_decomposition.h"
 #include "src/graph/generators.h"
 #include "src/peel/generic_peel.h"
+#include "tests/testlib/hierarchy_check.h"
 
 namespace nucleus {
 namespace {
@@ -947,6 +948,90 @@ TEST(Session, StatsIsSafeDuringConcurrentDecompose) {
     EXPECT_TRUE(done.kappa_cached[k]);
     EXPECT_TRUE(done.hierarchy_cached[k]);
   }
+}
+
+TEST(Session, HierarchiesRaceFirstTouchArenaBuilds) {
+  // On a fresh session, hierarchy sweeps read whichever rung the kind's
+  // cell holds at that moment while other threads' first-touch AND
+  // decompositions build the (2,3) and (3,4) arenas into those cells, and
+  // Stats() peeks them. Every forest must equal the on-the-fly reference
+  // whichever rung it saw. (The TSAN CI job runs this test.)
+  const Graph g = GeneratePlantedPartition(4, 25, 0.5, 0.03, 7);
+  const DecompositionKind kinds[] = {DecompositionKind::kTruss,
+                                     DecompositionKind::kNucleus34};
+  NucleusSession ref(g);
+  std::vector<Degree> ref_kappa[2];
+  NucleusHierarchy ref_h[2];
+  for (int i = 0; i < 2; ++i) {
+    DecomposeOptions peel;
+    peel.materialize = Materialize::kOff;
+    const auto r = ref.Decompose(kinds[i], peel);
+    ASSERT_TRUE(r.ok());
+    ref_kappa[i] = r->kappa;
+    ref_h[i] = testlib::FlyHierarchy(ref, kinds[i], r->kappa);
+  }
+
+  NucleusSession session(g);
+  std::atomic<bool> stop{false};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {  // first-touch AND builds the arenas
+    threads.emplace_back([&, t] {
+      DecomposeOptions opt;
+      opt.method = Method::kAnd;
+      opt.materialize = Materialize::kOn;
+      opt.use_result_cache = false;  // a cache hit would skip the build
+      opt.threads = 2;
+      for (int i = 0; i < 2; ++i) {
+        const auto r = session.Decompose(kinds[(t + i) % 2], opt);
+        if (!r.ok() || r->kappa != ref_kappa[(t + i) % 2]) ++failures;
+      }
+    });
+  }
+  const NucleusHierarchy* cached[2][2] = {};
+  for (int t = 0; t < 2; ++t) {  // cached and uncached hierarchy sweeps
+    threads.emplace_back([&, t] {
+      DecomposeOptions opt;  // peel under kAuto: never builds an arena
+      for (int i = 0; i < 2; ++i) {
+        const int k = (t + i) % 2;
+        const auto h = session.Hierarchy(kinds[k], opt);
+        if (!h.ok()) {
+          ++failures;
+          continue;
+        }
+        cached[t][k] = *h;
+        for (int rep = 0; rep < 3; ++rep) {
+          const auto fresh = session.HierarchyFor(kinds[k], ref_kappa[k]);
+          if (!fresh.ok()) {
+            ++failures;
+            continue;
+          }
+          testlib::ExpectHierarchiesEqual(*fresh, ref_h[k], "HierarchyFor");
+        }
+      }
+    });
+  }
+  std::thread poller([&] {
+    while (!stop.load()) {
+      const SessionStateStats s = session.Stats();
+      if (s.num_vertices != g.NumVertices()) ++failures;
+    }
+  });
+  for (auto& t : threads) t.join();
+  stop.store(true);
+  poller.join();
+  EXPECT_EQ(failures.load(), 0);
+  for (int t = 0; t < 2; ++t) {
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_NE(cached[t][k], nullptr);
+      testlib::ExpectHierarchiesEqual(*cached[t][k], ref_h[k], "Hierarchy");
+    }
+  }
+  // The arenas came from the decompositions alone: one build per kind.
+  const SessionStats stats = session.stats();
+  EXPECT_EQ(stats.truss_arena_builds, 1);
+  EXPECT_EQ(stats.nucleus34_arena_builds, 1);
+  EXPECT_EQ(stats.hierarchy_builds, 2);
 }
 
 }  // namespace
