@@ -3,8 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cassert>
+#include <numeric>
+#include <tuple>
+#include <utility>
 
-#include "src/clique/four_cliques.h"
+#include "src/clique/intersect.h"
 #include "src/clique/triangles.h"
 
 namespace nucleus {
@@ -12,11 +16,9 @@ namespace nucleus {
 namespace {
 
 // Computes arena offsets from per-r-clique s-clique counts and sizes the
-// co-member array. Returns a scatter-cursor array initialized to the
-// offsets.
-std::vector<std::uint64_t> PrepareArena(const std::vector<Degree>& counts,
-                                        int arity,
-                                        internal::CsrArena* arena) {
+// co-member array.
+void PrepareArena(const std::vector<Degree>& counts, int arity,
+                  internal::CsrArena* arena) {
   const std::size_t n = counts.size();
   arena->offsets.assign(n + 1, 0);
   for (std::size_t r = 0; r < n; ++r) {
@@ -24,8 +26,6 @@ std::vector<std::uint64_t> PrepareArena(const std::vector<Degree>& counts,
         arena->offsets[r] + static_cast<std::uint64_t>(counts[r]) * arity;
   }
   arena->co_members.resize(arena->offsets[n]);
-  return std::vector<std::uint64_t>(arena->offsets.begin(),
-                                    arena->offsets.end() - 1);
 }
 
 }  // namespace
@@ -115,8 +115,9 @@ bool BuildCsrArena(const TrussSpace& space, int threads,
       },
       Schedule::kStatic);
 
-  std::vector<std::uint64_t> cursor =
-      PrepareArena(arena->degrees, arity, arena);
+  PrepareArena(arena->degrees, arity, arena);
+  std::vector<std::uint64_t> cursor(arena->offsets.begin(),
+                                    arena->offsets.end() - 1);
   ParallelFor(
       static_cast<std::size_t>(t), t,
       [&](std::size_t b) {
@@ -134,81 +135,127 @@ bool BuildCsrArena(const TrussSpace& space, int threads,
   return true;
 }
 
-// (3,4): one blocked oriented 4-clique enumeration records each K4's four
-// triangle ids (4 binary searches per K4, total — the on-the-fly space pays
-// 3 per K4 *per triangle per sweep* on top of the 3-way intersections).
+// (3,4): triangle-centric. Every live triangle is listed on its three
+// edges as (opposite vertex, id), each list sorted by opposite vertex. The
+// 4-cliques of triangle abc are the x common to any two of its lists (abx
+// and acx already span all six edges of abcx, so bcx is live too), and the
+// lists carry the co-member ids, so no id is looked up. Pass 1 counts d_4
+// exactly by intersecting the two shortest lists, so the budget is decided
+// before any O(#K4) allocation. Pass 2 merges them again, walks the third
+// list for its ids and writes straight into the triangle's own range.
+// Groups come in ForEachSClique's order, so the arena is the same at every
+// thread count.
 bool BuildCsrArena(const Nucleus34Space& space, int threads,
                    std::uint64_t budget_bytes, int arity,
                    internal::CsrArena* arena, RunControl ctl) {
+  assert(arity == 3);
   const Graph& g = space.graph();
   const TriangleIndex& tris = space.triangles();
   const std::size_t nt = tris.NumTriangles();
-  const int t = threads <= 1 ? 1 : threads;
+  const bool can_stop = ctl.CanStop();
+  AbortFlag abort;
+  const auto skip = [&](std::size_t t) {
+    return (can_stop && PollStopAmortized(ctl, abort)) ||
+           !tris.IsLive(static_cast<TriangleId>(t));
+  };
 
-  // Budget decision before any O(#K4) allocation, as in the truss builder.
-  // 4 * #K4 <= sum over triangles of min(deg of its vertices), an O(#tri)
-  // bound that settles the comfortably-fits case without enumerating;
-  // borderline graphs pay an exact count-only pre-pass.
-  if (budget_bytes != std::numeric_limits<std::uint64_t>::max()) {
-    std::uint64_t slot_bound = 0;
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-      const auto& v = tris.Vertices(static_cast<TriangleId>(ti));
-      slot_bound += std::min(
-          {g.GetDegree(v[0]), g.GetDegree(v[1]), g.GetDegree(v[2])});
-    }
-    if (internal::CsrArenaBytes(nt, slot_bound, arity) > budget_bytes) {
-      const Count total = CountFourCliques(g, t, ctl);
-      if (ctl.CanStop() && ctl.ShouldStop()) return false;
-      if (internal::CsrArenaBytes(nt, 4 * total, arity) > budget_bytes) {
-        arena->degrees = space.InitialDegrees(t);
-        return false;
+  // Edge u < v is keyed by v's slot in u's CSR row. A triangle's edges
+  // (v0,v1), (v0,v2), (v1,v2) are its co-member positions 0, 1, 2.
+  const auto slot_of = [&](VertexId u, VertexId v) {
+    const auto adj = g.Neighbors(u);
+    const auto it = std::lower_bound(adj.begin(), adj.end(), v);
+    assert(it != adj.end() && *it == v);
+    return g.Offsets()[u] + static_cast<std::size_t>(it - adj.begin());
+  };
+  std::vector<std::array<std::size_t, 3>> tri_slots(nt);
+  ParallelFor(nt, threads, [&](std::size_t t) {
+    if (skip(t)) return;
+    const auto& v = tris.Vertices(static_cast<TriangleId>(t));
+    tri_slots[t] = {slot_of(v[0], v[1]), slot_of(v[0], v[2]),
+                    slot_of(v[1], v[2])};
+  });
+  if (can_stop && ctl.ShouldStop()) return false;
+  // Filled in id order; sorting also places ids patched in past the
+  // pristine range. Then split: opposite vertices are what gets merged.
+  std::vector<std::uint64_t> list_offset(g.Offsets().back() + 1, 0);
+  for (std::size_t t = 0; t < nt; ++t) {
+    if (!tris.IsLive(static_cast<TriangleId>(t))) continue;
+    for (std::size_t s : tri_slots[t]) ++list_offset[s + 1];
+  }
+  std::partial_sum(list_offset.begin(), list_offset.end(),
+                   list_offset.begin());
+  std::vector<VertexId> opposite(list_offset.back());
+  std::vector<TriangleId> ids(list_offset.back());
+  {
+    std::vector<std::pair<VertexId, TriangleId>> entries(ids.size());
+    std::vector<std::uint64_t> cursor(list_offset);
+    for (std::size_t t = 0; t < nt; ++t) {
+      if (!tris.IsLive(static_cast<TriangleId>(t))) continue;
+      const auto& v = tris.Vertices(static_cast<TriangleId>(t));
+      for (int i = 0; i < 3; ++i) {
+        entries[cursor[tri_slots[t][i]]++] = {v[2 - i],
+                                              static_cast<TriangleId>(t)};
       }
     }
+    ParallelFor(list_offset.size() - 1, threads, [&](std::size_t s) {
+      std::sort(entries.begin() + list_offset[s],
+                entries.begin() + list_offset[s + 1]);
+      for (std::uint64_t i = list_offset[s]; i < list_offset[s + 1]; ++i) {
+        std::tie(opposite[i], ids[i]) = entries[i];
+      }
+    });
   }
 
-  std::vector<std::vector<std::array<TriangleId, 4>>> parts(t);
-  ForEachFourCliqueBlocks(
-      g, t,
-      [&](int block, VertexId a, VertexId b, VertexId c, VertexId d) {
-        parts[block].push_back({tris.TriangleIdOf(a, b, c),
-                                tris.TriangleIdOf(a, b, d),
-                                tris.TriangleIdOf(a, c, d),
-                                tris.TriangleIdOf(b, c, d)});
-      },
-      ctl);
-  if (ctl.CanStop() && ctl.ShouldStop()) return false;
-
+  // Merges t's two shortest lists: each common opposite vertex x is a
+  // 4-clique, whose third co-member sits at x in the longest list. Writes
+  // the groups to `out` when given; returns their number.
+  const auto merge = [&](std::size_t t, CliqueId* out) -> Degree {
+    const auto& s = tri_slots[t];
+    const auto len = [&](int i) {
+      return list_offset[s[i] + 1] - list_offset[s[i]];
+    };
+    std::array<int, 3> pos = {0, 1, 2};
+    std::sort(pos.begin(), pos.end(),
+              [&](int x, int y) { return len(x) < len(y); });
+    std::uint64_t p[3], e[3];
+    for (int i = 0; i < 3; ++i) {
+      p[i] = list_offset[s[pos[i]]];
+      e[i] = list_offset[s[pos[i]] + 1];
+    }
+    if (out == nullptr) {
+      return static_cast<Degree>(
+          CountCommon({opposite.data() + p[0], opposite.data() + e[0]},
+                      {opposite.data() + p[1], opposite.data() + e[1]}));
+    }
+    while (p[0] < e[0] && p[1] < e[1]) {
+      const VertexId x = opposite[p[0]], y = opposite[p[1]];
+      if (x != y) {
+        ++p[x < y ? 0 : 1];
+        continue;
+      }
+      while (p[2] < e[2] && opposite[p[2]] < x) ++p[2];
+      assert(p[2] < e[2] && opposite[p[2]] == x);
+      for (int i = 0; i < 3; ++i) out[pos[i]] = ids[p[i]++];
+      out += 3;
+    }
+    return 0;
+  };
   arena->degrees.assign(nt, 0);
-  ParallelFor(
-      static_cast<std::size_t>(t), t,
-      [&](std::size_t b) {
-        for (const auto& quad : parts[b]) {
-          for (TriangleId tri : quad) {
-            std::atomic_ref<Degree>(arena->degrees[tri])
-                .fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      },
-      Schedule::kStatic);
+  ParallelFor(nt, threads, [&](std::size_t t) {
+    if (!skip(t)) arena->degrees[t] = merge(t, nullptr);
+  });
+  if (can_stop && ctl.ShouldStop()) return false;
+  const std::uint64_t total_s = std::accumulate(
+      arena->degrees.begin(), arena->degrees.end(), std::uint64_t{0});
+  if (internal::CsrArenaBytes(nt, total_s, arity) > budget_bytes) {
+    return false;
+  }
 
-  std::vector<std::uint64_t> cursor =
-      PrepareArena(arena->degrees, arity, arena);
-  ParallelFor(
-      static_cast<std::size_t>(t), t,
-      [&](std::size_t b) {
-        for (const auto& quad : parts[b]) {
-          for (int i = 0; i < 4; ++i) {
-            const std::uint64_t pos =
-                std::atomic_ref<std::uint64_t>(cursor[quad[i]])
-                    .fetch_add(3, std::memory_order_relaxed);
-            arena->co_members[pos] = quad[(i + 1) & 3];
-            arena->co_members[pos + 1] = quad[(i + 2) & 3];
-            arena->co_members[pos + 2] = quad[(i + 3) & 3];
-          }
-        }
-      },
-      Schedule::kStatic);
-  return true;
+  PrepareArena(arena->degrees, arity, arena);
+  ParallelFor(nt, threads, [&](std::size_t t) {
+    if (!skip(t)) merge(t, arena->co_members.data() + arena->offsets[t]);
+  });
+  return !(can_stop && ctl.ShouldStop());
 }
 
 }  // namespace nucleus

@@ -61,8 +61,8 @@ inline std::uint64_t CsrArenaBytes(std::size_t n, std::uint64_t total_s,
 /// re-enumerates per r-clique into the arena. Returns false (leaving the
 /// counted degrees in arena->degrees) when the arena would exceed
 /// budget_bytes. The canonical spaces have cheaper specialized overloads in
-/// csr_space.cc that enumerate each s-clique globally once instead of once
-/// per member.
+/// csr_space.cc that avoid its per-member adjacency intersections and id
+/// lookups.
 template <typename Space>
 bool GenericBuildCsrArena(const Space& space, int threads,
                           std::uint64_t budget_bytes, int arity,
@@ -97,13 +97,16 @@ bool GenericBuildCsrArena(const Space& space, int threads,
 
 }  // namespace internal
 
-// Specialized arena builders (csr_space.cc). The truss and (3,4) builders
-// enumerate triangles / 4-cliques globally once (oriented enumeration) and
-// scatter, instead of intersecting adjacency lists per r-clique, which also
-// yields the initial degrees for free. All return false without building
-// either when the arena would exceed budget_bytes (degrees contract
-// honored) or when `ctl` stopped the build (degrees possibly partial —
-// callers check ctl before trusting anything).
+// Specialized arena builders (csr_space.cc), which also yield the initial
+// degrees for free. The truss builder enumerates triangles globally once
+// (oriented enumeration) and scatters each into its three edges' ranges.
+// The (3,4) builder lists every triangle on its three edges and finds a
+// triangle's 4-cliques by merging its edges' lists, which carry the
+// co-member triangle ids: no id lookups, and each triangle writes only its
+// own range, so the arena is identical at every thread count. All return
+// false without building either when the arena would exceed budget_bytes
+// (degrees contract honored) or when `ctl` stopped the build (degrees
+// possibly partial — callers check ctl before trusting anything).
 bool BuildCsrArena(const CoreSpace& space, int threads,
                    std::uint64_t budget_bytes, int arity,
                    internal::CsrArena* arena, RunControl ctl = {});

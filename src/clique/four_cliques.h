@@ -18,20 +18,8 @@ void ForEachFourClique(
     const Graph& g,
     const std::function<void(VertexId, VertexId, VertexId, VertexId)>& fn);
 
-/// Parallel driver: partitions vertices into <= threads contiguous blocks
-/// and calls fn(block, a, b, c, d) with a < b < c < d exactly once per
-/// 4-clique, from the block's worker thread. fn must be safe to call
-/// concurrently for distinct blocks.
-/// A stoppable `ctl` makes the enumeration abandonable mid-stream; the
-/// caller must check ctl.ShouldStop() afterwards and discard partials.
-void ForEachFourCliqueBlocks(
-    const Graph& g, int threads,
-    const std::function<void(int, VertexId, VertexId, VertexId, VertexId)>&
-        fn,
-    RunControl ctl = {});
-
 /// Total 4-clique count (Table 3 statistic). `threads` parallelizes over
-/// vertices with per-thread accumulation. A stopped run undercounts; the
+/// dynamically claimed vertex chunks. A stopped run undercounts; the
 /// caller checks ctl.
 Count CountFourCliques(const Graph& g, int threads = 1, RunControl ctl = {});
 

@@ -32,10 +32,12 @@ void ForEachTriangle(const Graph& g,
                      const std::function<void(VertexId, VertexId, VertexId)>&
                          fn);
 
-/// Parallel driver: partitions vertices into <= threads contiguous blocks
-/// and calls fn(block, u, v, w) with u < v < w exactly once per triangle,
-/// from the block's worker thread. fn must be safe to call concurrently for
-/// distinct blocks (e.g. append to per-block buffers, or use atomics).
+/// Parallel enumeration: workers claim fixed source-vertex chunks dynamically
+/// and call fn(block, u, v, w) with u < v < w exactly once per triangle,
+/// where block is the calling worker's index in [0, threads). fn must be
+/// safe to call concurrently for distinct blocks (e.g. append to per-block
+/// buffers, or use atomics); which block reports a triangle varies from
+/// run to run.
 /// A stoppable `ctl` makes the enumeration abandonable mid-stream: the
 /// caller must check ctl.ShouldStop() afterwards and discard the partial
 /// output when it reports true.
@@ -45,7 +47,7 @@ void ForEachTriangleBlocks(
     RunControl ctl = {});
 
 /// Total triangle count (Table 3 statistic). `threads` parallelizes over
-/// vertices with per-thread accumulation. A stopped run undercounts; the
+/// dynamically claimed vertex chunks. A stopped run undercounts; the
 /// caller checks ctl.
 Count CountTriangles(const Graph& g, int threads = 1, RunControl ctl = {});
 

@@ -104,6 +104,24 @@ void ParallelFor(std::size_t n, int threads, Body&& body,
       &ctx);
 }
 
+/// Runs body(worker, chunk, begin, end) over [0, n) cut into fixed
+/// `width`-wide chunks that workers claim dynamically: chunk c always
+/// covers [c * width, min(n, (c + 1) * width)), whatever the thread count,
+/// so per-chunk results are deterministic. For skewed per-item work, where
+/// ParallelBlocks' one contiguous block per thread leaves threads idle.
+/// The worker index is as in ParallelForWorker.
+template <typename Body>
+void ParallelChunks(std::size_t n, std::size_t width, int threads,
+                    Body&& body) {
+  const std::size_t w = width == 0 ? 1 : width;
+  ParallelForWorker(
+      (n + w - 1) / w, threads,
+      [&body, n, w](int worker, std::size_t c) {
+        body(worker, c, c * w, std::min(n, c * w + w));
+      },
+      /*chunk=*/1);
+}
+
 /// Runs body(thread_index, begin, end) over a blocked partition of [0, n)
 /// into min(threads, n) contiguous blocks. Useful when the body wants
 /// thread-local scratch state indexed by thread_index.

@@ -14,6 +14,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/clique/delta.h"
+#include "src/clique/intersect.h"
 #include "src/clique/kclique.h"
 #include "src/clique/representation.h"
 #include "src/common/cancel.h"
@@ -160,6 +162,111 @@ TEST(CsrSpace, TryBuildRejectsOverBudgetAndReturnsDegrees) {
       space, 2, std::uint64_t{1} << 30, &degrees);
   ASSERT_TRUE(ok.has_value());
   EXPECT_GT(ok->MemoryBytes(), 0u);
+}
+
+// The (3,4) builder over a triangle index patched the way a committed
+// update patches it: tombstoned ids of removed triangles and born ids
+// appended past the pristine range. Its groups must equal the on-the-fly
+// space's over the same patched index and the new graph.
+TEST(CsrSpace, Nucleus34ArenaOverPatchedIndexMatchesFly) {
+  const Graph old_g = GenerateRmat(8, 8, 5);
+  EdgeDelta delta;
+  std::vector<std::pair<VertexId, VertexId>> kept;
+  std::size_t i = 0;
+  for (VertexId u = 0; u < old_g.NumVertices(); ++u) {
+    for (VertexId v : old_g.Neighbors(u)) {
+      if (u > v) continue;
+      (i++ % 7 == 0 ? delta.removed : kept).push_back({u, v});
+    }
+  }
+  // Close new triangles: non-adjacent pairs with common neighbors.
+  for (VertexId u = 0; u < old_g.NumVertices() && delta.inserted.size() < 40;
+       u += 3) {
+    for (VertexId v = u + 1; v < old_g.NumVertices(); v += 5) {
+      if (!old_g.HasEdge(u, v) &&
+          CountCommon(old_g.Neighbors(u), old_g.Neighbors(v)) >= 2) {
+        delta.inserted.push_back({u, v});
+        break;
+      }
+    }
+  }
+  kept.insert(kept.end(), delta.inserted.begin(), delta.inserted.end());
+  const Graph new_g = BuildGraphFromEdges(old_g.NumVertices(), kept);
+  const TriangleDelta td = ComputeTriangleDelta(old_g, new_g, delta);
+  TriangleIndex tris(old_g);
+  const std::size_t pristine = tris.NumTriangles();
+  tris.ApplyDelta(td.dead, td.born);
+  ASSERT_GT(tris.NumTriangles(), pristine);  // born ids past the range
+  ASSERT_LT(tris.NumLiveTriangles(), tris.NumTriangles());  // tombstones
+
+  const Nucleus34Space fly(new_g, tris);
+  std::size_t groups = 0;
+  for (const int threads : {1, 4}) {
+    const CsrSpace<Nucleus34Space> csr(fly, threads);
+    ASSERT_EQ(csr.NumRCliques(), tris.NumTriangles());
+    EXPECT_EQ(csr.InitialDegrees(), fly.InitialDegrees());
+    for (CliqueId r = 0; r < fly.NumRCliques(); ++r) {
+      const auto want = CanonicalSCliques(fly, r);
+      EXPECT_EQ(CanonicalSCliques(csr, r), want) << "triangle " << r;
+      groups += want.size();
+    }
+  }
+  EXPECT_GT(groups, 0u);
+}
+
+// The (3,4) arena is written per triangle into its own range, so it is
+// byte-identical whatever the thread count.
+TEST(CsrSpace, Nucleus34ArenaIdenticalAcrossThreads) {
+  const Graph g = GenerateRmat(9, 8, 3);
+  const TriangleIndex tris(g, 4);
+  const Nucleus34Space space(g, tris);
+  const auto build = [&](int threads) {
+    internal::CsrArena arena;
+    EXPECT_TRUE(BuildCsrArena(space, threads,
+                              std::numeric_limits<std::uint64_t>::max(), 3,
+                              &arena));
+    return arena;
+  };
+  const internal::CsrArena serial = build(1);
+  EXPECT_EQ(serial.degrees, space.InitialDegrees());
+  ASSERT_GT(serial.co_members.size(), 0u);
+  const internal::CsrArena parallel = build(4);
+  EXPECT_EQ(parallel.degrees, serial.degrees);
+  EXPECT_EQ(parallel.offsets, serial.offsets);
+  EXPECT_EQ(parallel.co_members, serial.co_members);
+  // Groups come in the on-the-fly space's order, so the generic builder
+  // (one ForEachSClique per triangle) writes the very same bytes.
+  internal::CsrArena generic;
+  ASSERT_TRUE(internal::GenericBuildCsrArena(
+      space, 4, std::numeric_limits<std::uint64_t>::max(), 3, &generic));
+  EXPECT_EQ(generic.offsets, serial.offsets);
+  EXPECT_EQ(generic.co_members, serial.co_members);
+}
+
+// A budget rejection of the (3,4) build still hands back d_4, and the
+// budget is exact: the arena's own size fits, one byte less does not.
+TEST(CsrSpace, Nucleus34TryBuildRejectsOverBudgetAndReturnsDegrees) {
+  const Graph g = GenerateRmat(8, 8, 7);
+  const TriangleIndex tris(g);
+  const Nucleus34Space space(g, tris);
+  const std::vector<Degree> d4 = space.InitialDegrees();
+  std::uint64_t total = 0;
+  for (Degree d : d4) total += d;
+  ASSERT_GT(total, 0u);
+  const std::uint64_t exact =
+      internal::CsrArenaBytes(tris.NumTriangles(), total, 3);
+  for (const std::uint64_t budget : {std::uint64_t{1}, exact - 1}) {
+    std::vector<Degree> degrees;
+    EXPECT_FALSE(CsrSpace<Nucleus34Space>::TryBuild(space, 4, budget,
+                                                    &degrees)
+                     .has_value());
+    EXPECT_EQ(degrees, d4) << "budget " << budget;
+  }
+  std::vector<Degree> unused;
+  const auto fits =
+      CsrSpace<Nucleus34Space>::TryBuild(space, 4, exact, &unused);
+  ASSERT_TRUE(fits.has_value());
+  EXPECT_EQ(fits->InitialDegrees(), d4);
 }
 
 // The budgets of the rung-selection table, priced per space from its own

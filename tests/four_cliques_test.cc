@@ -70,6 +70,14 @@ TEST(FourCliques, ForEachEnumeratesEachOnceSorted) {
   EXPECT_EQ(seen.size(), CountFourCliques(g));
 }
 
+TEST(FourCliques, ParallelCountMatchesSerialOnRmat) {
+  const Graph g = GenerateRmat(9, 8, 21);
+  const Count serial = CountFourCliques(g, 1);
+  EXPECT_GT(serial, 0u);
+  EXPECT_EQ(CountFourCliques(g, 2), serial);
+  EXPECT_EQ(CountFourCliques(g, 4), serial);
+}
+
 TEST(FourCliques, PerTriangleCountsSumToFourTimesTotal) {
   const Graph g = GenerateBarabasiAlbert(80, 5, 4);
   const TriangleIndex tris(g);

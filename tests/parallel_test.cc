@@ -73,6 +73,35 @@ TEST(ParallelBlocks, ThreadIndicesDistinct) {
   for (const auto& s : seen) EXPECT_EQ(s.load(), 1);
 }
 
+TEST(ParallelChunks, FixedChunksCoverRangeOnce) {
+  const std::size_t n = 997;  // prime: short last chunk
+  const std::size_t width = 16;
+  std::vector<std::atomic<int>> hits(n);
+  std::vector<std::atomic<int>> chunk_calls((n + width - 1) / width);
+  std::atomic<bool> bad{false};
+  ParallelChunks(n, width, 4,
+                 [&](int worker, std::size_t c, std::size_t begin,
+                     std::size_t end) {
+                   if (worker < 0 || worker >= 4 || begin != c * width ||
+                       end != std::min(n, begin + width)) {
+                     bad.store(true);
+                   }
+                   chunk_calls[c].fetch_add(1);
+                   for (std::size_t i = begin; i < end; ++i) {
+                     hits[i].fetch_add(1);
+                   }
+                 });
+  EXPECT_FALSE(bad.load());
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& c : chunk_calls) EXPECT_EQ(c.load(), 1);
+  bool called = false;
+  ParallelChunks(0, width, 4,
+                 [&](int, std::size_t, std::size_t, std::size_t) {
+                   called = true;
+                 });
+  EXPECT_FALSE(called);
+}
+
 TEST(HardwareThreads, AtLeastOne) {
   EXPECT_GE(HardwareThreads(), 1);
 }

@@ -138,6 +138,22 @@ TEST(TriangleIndex, ParallelBuildMatchesSerial) {
   }
 }
 
+TEST(TriangleIndex, IdenticalAcrossThreadCountsOnRmat) {
+  // RMAT piles most triangles onto low vertex ids, the skew the dynamic
+  // vertex chunks balance; the index must not depend on who claims what.
+  const Graph g = GenerateRmat(10, 8, 13);
+  const TriangleIndex serial(g, 1);
+  ASSERT_GT(serial.NumTriangles(), 0u);
+  EXPECT_EQ(serial.NumTriangles(), CountTriangles(g, 4));
+  for (const int threads : {2, 4}) {
+    const TriangleIndex parallel(g, threads);
+    ASSERT_EQ(parallel.NumTriangles(), serial.NumTriangles());
+    for (TriangleId t = 0; t < serial.NumTriangles(); ++t) {
+      ASSERT_EQ(parallel.Vertices(t), serial.Vertices(t)) << "id " << t;
+    }
+  }
+}
+
 TEST(CountTriangles, ParallelMatchesSerial) {
   const Graph g = GenerateBarabasiAlbert(300, 4, 17);
   EXPECT_EQ(CountTriangles(g, 4), CountTriangles(g));
